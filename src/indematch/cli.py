@@ -170,6 +170,16 @@ def certificate_document(report: WitnessReport, host: Matching) -> dict:
 _FOUND_KINDS = {"interleaving", "broken_nesting", "proper_pin_sequence"}
 
 
+def _certificate_edges(pairs: object) -> tuple[Edge, ...]:
+    """A certificate's edge list, checked to be a list of two-integer lists."""
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(v, int) for v in p)
+        for p in pairs
+    ):
+        raise InvariantViolation("edges must be a list of two-integer lists")
+    return tuple(as_edge(p) for p in pairs)
+
+
 def verify_certificate(doc: dict) -> str:
     """Re-check a certificate from its serialized form alone.
 
@@ -189,6 +199,10 @@ def verify_certificate(doc: dict) -> str:
     k = doc["k"]
     if not isinstance(k, int):
         raise InvariantViolation("k must be an integer")
+    if not isinstance(doc["host"], str):
+        raise InvariantViolation("host must be a string")
+    if not isinstance(doc["size"], int):
+        raise InvariantViolation("size must be an integer")
     b = bounds(k)
     want = {
         "stated": str(b.stated),
@@ -198,7 +212,7 @@ def verify_certificate(doc: dict) -> str:
     if doc["bounds"] != want:
         raise InvariantViolation("bounds disagree with recomputation")
     host = parse_matching(doc["host"])
-    edges = tuple(as_edge(pair) for pair in doc["edges"])
+    edges = _certificate_edges(doc["edges"])
     for e in edges:
         if not host.has_edge(e):
             raise UnknownEdge(e)
@@ -439,7 +453,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
             doc = json.load(fh)
         if not isinstance(doc, dict) or "edges" not in doc:
             raise InvariantViolation("certificate lacks an edge list")
-        highlight = tuple(as_edge(pair) for pair in doc["edges"])
+        highlight = _certificate_edges(doc["edges"])
     svg = render_svg(matching, highlight)
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -533,7 +547,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MatchingError as exc:
+    except (MatchingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,15 +11,12 @@ Vertices are 1-based everywhere in the public interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import (
     DuplicateVertex,
     GapInVertexSet,
     SelfLoop,
-    SharedVertex,
     UnknownEdge,
     VertexOutOfRange,
 )
@@ -59,14 +56,6 @@ class Segment:
 
     def __str__(self) -> str:
         return f"[{self.lo},{self.hi}]"
-
-
-class Relation(Enum):
-    """How two disjoint edges sit relative to each other."""
-
-    CROSSING = "crossing"
-    NESTED = "nested"
-    DISJOINT = "disjoint"
 
 
 @dataclass(frozen=True)
@@ -145,21 +134,6 @@ def make_matching(pairs: Iterable[Iterable[int]]) -> Matching:
     return Matching(tuple(partner))
 
 
-def edge_relation(e: Edge, f: Edge) -> Relation:
-    """Classify the relative position of two disjoint edges."""
-    if e.left in f or e.right in f:
-        raise SharedVertex(e.left if e.left in f else e.right)
-    if e.left < f.left < e.right < f.right or f.left < e.left < f.right < e.right:
-        return Relation.CROSSING
-    if e.left < f.left < f.right < e.right or f.left < e.left < e.right < f.right:
-        return Relation.NESTED
-    return Relation.DISJOINT
-
-
-def crossing(e: Edge, f: Edge) -> bool:
-    return edge_relation(e, f) is Relation.CROSSING
-
-
 def find_intervals(matching: Matching) -> tuple[Segment, ...]:
     """All nontrivial intervals: contiguous runs of >= 2 vertices, closed
     under the matching, other than the whole vertex set.
@@ -233,26 +207,3 @@ def subpattern(matching: Matching, keep: Iterable[Edge]) -> Matching:
         kept.append(e)
     return Matching(_induced_partner(tuple(kept)))
 
-
-def contains(matching: Matching, pattern: Matching) -> frozenset[Edge] | None:
-    """Search for pattern as a submatching; return a witnessing edge set.
-
-    Brute force over edge subsets of the right size, in lexicographic order
-    of the host's (left endpoint sorted) edge tuple, so the returned witness
-    is deterministic.  None means the pattern does not occur.
-    """
-    if pattern.n == 0:
-        return frozenset()
-    if pattern.n > matching.n:
-        return None
-    target = pattern.partner
-    for subset in combinations(matching.edges(), pattern.n):
-        if _induced_partner(subset) == target:
-            return frozenset(subset)
-    return None
-
-
-def reverse(matching: Matching) -> Matching:
-    """Mirror image: vertex v goes to 2n + 1 - v."""
-    m = len(matching.partner)
-    return Matching(tuple(m + 1 - matching.partner[m - v] for v in range(1, m + 1)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import Matching, _is_indecomposable_partner
 from .errors import SizeCapExceeded, SizeTooSmall
@@ -48,6 +48,25 @@ def _iter_partner_tuples_shard(n: int, first_partner: int) -> Iterator[tuple[int
     partner[first_partner - 1] = 1
     rest = tuple(v for v in range(2, 2 * n + 1) if v != first_partner)
     yield from _fill(partner, rest)
+
+
+def _host_shards(n_max: int, k: int) -> list[tuple[int, int, int]]:
+    """(n, first partner, k) for each shard with n <= n_max that can hold an indecomposable."""
+    # For n >= 2, first partner 2 closes [1, 2] and first partner 2n closes [2, 2n - 1].
+    return [
+        (n, fp, k)
+        for n in range(1, n_max + 1)
+        for fp in range(2, 2 * n + 1)
+        if n == 1 or 2 < fp < 2 * n
+    ]
+
+
+def _run_shards(worker: Callable, shards: list, jobs: int) -> list:
+    """worker over every shard, results in shard order; one pool of jobs processes if jobs > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(worker, shards))
+    return [worker(s) for s in shards]
 
 
 def _check_cap(n: int, allow_large: bool) -> None:
@@ -119,12 +138,7 @@ def census(n: int, *, jobs: int = 1, allow_large: bool = False) -> CensusRow:
     if n < 1:
         raise SizeTooSmall(n, 1, "n")
     _check_cap(n, allow_large)
-    shards = [(n, fp) for fp in range(2, 2 * n + 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_census_shard, shards))
-    else:
-        parts = [_census_shard(s) for s in shards]
+    parts = _run_shards(_census_shard, [(n, fp) for fp in range(2, 2 * n + 1)], jobs)
     total = sum(p[0] for p in parts)
     indec = sum(p[1] for p in parts)
     return CensusRow(n, total, indec, recurrence_counts(n)[n])
@@ -188,17 +202,12 @@ def scan_avoiders(
     if k < 2:
         raise SizeTooSmall(k, 2, "k")
     _check_cap(n_max, allow_large)
-    counts: dict[int, int] = {}
+    shards = _host_shards(n_max, k)
+    counts = dict.fromkeys(range(1, n_max + 1), 0)
     examples: dict[int, Matching] = {}
-    for n in range(1, n_max + 1):
-        shards = [(n, fp, k) for fp in range(2, 2 * n + 1)]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(_scan_shard, shards))
-        else:
-            parts = [_scan_shard(s) for s in shards]
-        counts[n] = sum(p[0] for p in parts)
-        found = [p[1] for p in parts if p[1] is not None]
-        if found:
-            examples[n] = Matching(min(found))
+    for (n, _, _), (count, example) in zip(shards, _run_shards(_scan_shard, shards, jobs)):
+        counts[n] += count
+        # Shards run in canonical order, so the first example of each n is its least.
+        if example is not None and n not in examples:
+            examples[n] = Matching(example)
     return AvoiderReport(n_max, k, counts, examples)

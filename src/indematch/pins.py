@@ -23,17 +23,6 @@ from .errors import (
 )
 
 
-def shadow(matching: Matching, edges: tuple[Edge, ...]) -> Segment | None:
-    """Segment spanned by the endpoints of the given edges; None when empty."""
-    for e in edges:
-        if not matching.has_edge(e):
-            raise UnknownEdge(e)
-    if not edges:
-        return None
-    verts = [v for e in edges for v in e]
-    return Segment(min(verts), max(verts))
-
-
 def splits(matching: Matching, edge: Edge, segment: Segment | None) -> bool:
     """True when exactly one endpoint of edge lies inside segment."""
     if segment is None:
@@ -147,41 +136,45 @@ def properize(matching: Matching, pins: tuple[Edge, ...]) -> PinSequence:
     # A valid next pin splits the current shadow and not the previous one,
     # which forces it to cross the newest pin; the pair of shadows is the
     # whole search state.  Used pins lie inside the current shadow and fail
-    # the split test, so distinctness needs no bookkeeping.
+    # the split test, so distinctness needs no bookkeeping.  The pins were
+    # validated above, so the search runs on int pairs, depth first on an
+    # explicit stack: frames[i] holds the state reached by chain[: i + 1]
+    # and the candidates there not yet tried.  The empty segment (0, -1)
+    # stands in for the missing shadow before the first pin.
     top = matching.top
-    dead: set[tuple[Segment | None, Segment]] = set()
-
-    def extend(prev: Segment | None, cur: Segment) -> tuple[Edge, ...] | None:
-        if (prev, cur) in dead:
-            return None
+    latest_first = [(e.left, e.right) for e in reversed(pins)]
+    chain = [(pins[0].left, pins[0].right)]
+    frames = []
+    dead: set[tuple] = set()
+    state = ((0, -1), chain[0])
+    while top not in chain[-1]:
+        (plo, phi), (lo, hi) = state
         ranked = [
-            e
-            for e in reversed(pins)
-            if splits(matching, e, cur)
-            and (prev is None or not splits(matching, e, prev))
+            (a, b)
+            for a, b in latest_first
+            if (lo <= a <= hi) + (lo <= b <= hi) == 1
+            and (plo <= a <= phi) + (plo <= b <= phi) != 1
         ]
-        for e in ranked:
-            if top in e:
-                return (e,)
-        for e in ranked:
-            grown = Segment(min(cur.lo, e.left), max(cur.hi, e.right))
-            tail = extend(cur, grown)
-            if tail is not None:
-                return (e,) + tail
-        dead.add((prev, cur))
-        return None
-
-    first = pins[0]
-    if top in first:
-        chain: tuple[Edge, ...] = (first,)
-    else:
-        tail = extend(None, Segment(first.left, first.right))
-        if tail is None:
-            raise InvariantViolation(
-                "no proper right-reaching subsequence of the pins exists"
-            )
-        chain = (first,) + tail
-    out = classify_sequence(matching, chain)
+        # The one pin touching the greatest vertex ends the search: try it first.
+        ranked.sort(key=lambda e: top not in e)
+        frames.append((state, iter(ranked)))
+        state = None
+        while state is None:
+            (_, cur), todo = frames[-1]
+            for e in todo:
+                grown = (min(cur[0], e[0]), max(cur[1], e[1]))
+                if (cur, grown) not in dead:
+                    chain.append(e)
+                    state = (cur, grown)
+                    break
+            else:
+                dead.add(frames.pop()[0])
+                if not frames:
+                    raise InvariantViolation(
+                        "no proper right-reaching subsequence of the pins exists"
+                    )
+                chain.pop()
+    out = classify_sequence(matching, tuple(Edge(a, b) for a, b in chain))
     if not (out.is_pin_sequence and out.is_proper and out.is_right_reaching):
         raise InvariantViolation("search produced an invalid sequence")
     return out
@@ -238,11 +231,3 @@ def build_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
         head += 1
     return PinTree(matching, tuple(nodes), tuple(parents))
 
-
-def count_proper_rr_sequences(matching: Matching) -> int:
-    """Number of proper right-reaching pin sequences, with no length cap.
-
-    Pins are distinct edges, so sequences never exceed n pins and the count
-    is finite.  Always at least n for an indecomposable matching with n >= 1.
-    """
-    return len(build_pin_tree(matching, max(matching.n, 1)).nodes)

@@ -13,11 +13,11 @@ below-threshold outcome machine-checks the edge count against the bound.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import Matching, _is_indecomposable_partner, is_indecomposable
-from .enumeration import _iter_partner_tuples_shard
+from .enumeration import _host_shards, _iter_partner_tuples_shard, _run_shards
 from .errors import (
     InvariantViolation,
     MatchingError,
@@ -139,15 +139,9 @@ class TheoremReport:
         return not self.failures
 
 
-def _verify_shard(args: tuple[int, int, int]) -> tuple[dict[str, int], list[str]]:
+def _verify_shard(args: tuple[int, int, int]) -> tuple[Counter[str], list[str]]:
     n, first_partner, k = args
-    tally = {
-        "checked": 0,
-        WitnessKind.INTERLEAVING.value: 0,
-        WitnessKind.BROKEN_NESTING.value: 0,
-        WitnessKind.PROPER_PIN_SEQUENCE.value: 0,
-        "below_threshold": 0,
-    }
+    tally: Counter[str] = Counter()
     failures: list[str] = []
     for partner in _iter_partner_tuples_shard(n, first_partner):
         if not _is_indecomposable_partner(partner):
@@ -186,23 +180,10 @@ def verify_theorem(n_max: int, k: int, *, jobs: int = 1) -> TheoremReport:
     if n_max > EXHAUSTIVE_CAP:
         raise SizeCapExceeded(n_max, EXHAUSTIVE_CAP)
     bounds(k)
-    shards = [(n, fp, k) for n in range(1, n_max + 1) for fp in range(2, 2 * n + 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_verify_shard, shards))
-    else:
-        parts = [_verify_shard(s) for s in shards]
+    total: Counter[str] = Counter()
     failures: list[str] = []
-    total = {
-        "checked": 0,
-        WitnessKind.INTERLEAVING.value: 0,
-        WitnessKind.BROKEN_NESTING.value: 0,
-        WitnessKind.PROPER_PIN_SEQUENCE.value: 0,
-        "below_threshold": 0,
-    }
-    for tally, shard_failures in parts:
-        for key, value in tally.items():
-            total[key] += value
+    for tally, shard_failures in _run_shards(_verify_shard, _host_shards(n_max, k), jobs):
+        total += tally
         failures.extend(shard_failures)
     return TheoremReport(
         n_max=n_max,

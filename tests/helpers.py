@@ -6,6 +6,8 @@ results must agree with them.
 
 from __future__ import annotations
 
+from enum import Enum
+from itertools import combinations
 from typing import Iterator
 
 from hypothesis import strategies as st
@@ -15,11 +17,76 @@ from indematch import (
     Matching,
     PatternKind,
     Segment,
+    build_pin_tree,
     canonical,
-    contains,
     is_indecomposable,
     make_matching,
 )
+from indematch.core import _induced_partner
+from indematch.errors import SharedVertex, UnknownEdge
+
+
+class Relation(Enum):
+    """How two disjoint edges sit relative to each other."""
+
+    CROSSING = "crossing"
+    NESTED = "nested"
+    DISJOINT = "disjoint"
+
+
+def edge_relation(e: Edge, f: Edge) -> Relation:
+    """Classify the relative position of two disjoint edges."""
+    if e.left in f or e.right in f:
+        raise SharedVertex(e.left if e.left in f else e.right)
+    if e.left < f.left < e.right < f.right or f.left < e.left < f.right < e.right:
+        return Relation.CROSSING
+    if e.left < f.left < f.right < e.right or f.left < e.left < e.right < f.right:
+        return Relation.NESTED
+    return Relation.DISJOINT
+
+
+def contains(matching: Matching, pattern: Matching) -> frozenset[Edge] | None:
+    """Search for pattern as a submatching; return a witnessing edge set.
+
+    Brute force over edge subsets of the right size, in lexicographic order
+    of the host's (left endpoint sorted) edge tuple, so the returned witness
+    is deterministic.  None means the pattern does not occur.
+    """
+    if pattern.n == 0:
+        return frozenset()
+    if pattern.n > matching.n:
+        return None
+    target = pattern.partner
+    for subset in combinations(matching.edges(), pattern.n):
+        if _induced_partner(subset) == target:
+            return frozenset(subset)
+    return None
+
+
+def reverse(matching: Matching) -> Matching:
+    """Mirror image: vertex v goes to 2n + 1 - v."""
+    m = len(matching.partner)
+    return Matching(tuple(m + 1 - matching.partner[m - v] for v in range(1, m + 1)))
+
+
+def shadow(matching: Matching, edges: tuple[Edge, ...]) -> Segment | None:
+    """Segment spanned by the endpoints of the given edges; None when empty."""
+    for e in edges:
+        if not matching.has_edge(e):
+            raise UnknownEdge(e)
+    if not edges:
+        return None
+    verts = [v for e in edges for v in e]
+    return Segment(min(verts), max(verts))
+
+
+def count_proper_rr_sequences(matching: Matching) -> int:
+    """Number of proper right-reaching pin sequences, with no length cap.
+
+    Pins are distinct edges, so sequences never exceed n pins and the count
+    is finite.  Always at least n for an indecomposable matching with n >= 1.
+    """
+    return len(build_pin_tree(matching, max(matching.n, 1)).nodes)
 
 
 def matching_from_permutation(perm: tuple[int, ...]) -> Matching:

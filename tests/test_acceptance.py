@@ -22,8 +22,6 @@ from indematch import (
     canonical,
     census,
     classify_sequence,
-    contains,
-    count_proper_rr_sequences,
     crossers,
     extract_from_crossed_edge,
     grow_right_reaching,
@@ -37,7 +35,14 @@ from indematch import (
 from indematch.cli import certificate_document, format_matching, parse_matching, verify_certificate
 from indematch.ramsey import witness as ramsey_witness
 
-from helpers import all_pin_sequences, oracle_max_size, random_indecomposable, random_matching
+from helpers import (
+    all_pin_sequences,
+    contains,
+    count_proper_rr_sequences,
+    oracle_max_size,
+    random_indecomposable,
+    random_matching,
+)
 
 TOTALS = (1, 3, 15, 105, 945, 10395, 135135)
 INDECOMPOSABLE = (1, 1, 4, 27, 248, 2830, 38232)

@@ -191,6 +191,10 @@ def test_certificate_tampering_is_rejected():
     with pytest.raises(InvariantViolation, match="JSON object"):
         verify_certificate([doc])
 
+    for bad in (dict(doc, edges=[[1]]), dict(doc, edges=[5]), dict(doc, host=5)):
+        with pytest.raises(InvariantViolation, match="must be"):
+            verify_certificate(bad)
+
 
 def test_below_threshold_certificate_tampering():
     crossing = make_matching([(1, 3), (2, 4)])
@@ -355,3 +359,11 @@ def test_cli_error_paths(capsys):
 
     assert main(["pins", "1-3 2-4", "--start", "9-9"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_reports_unreadable_files(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    for argv in (["verify-cert", missing], ["render", "1-3 2-4", "--witness", missing]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 from indematch import (
     Edge,
     Matching,
-    Relation,
     Segment,
     as_edge,
-    contains,
-    edge_relation,
     find_intervals,
     is_indecomposable,
     make_matching,
-    reverse,
     subpattern,
 )
 from indematch.errors import (
@@ -27,7 +23,15 @@ from indematch.errors import (
     VertexOutOfRange,
 )
 
-from helpers import matchings, oracle_intervals, random_matching
+from helpers import (
+    Relation,
+    contains,
+    edge_relation,
+    matchings,
+    oracle_intervals,
+    random_matching,
+    reverse,
+)
 
 FIG_DECOMPOSABLE = make_matching([(1, 3), (2, 8), (4, 6), (5, 7)])
 CHAIN = make_matching([(3, 5), (4, 7), (1, 6), (2, 8)])
@@ -176,3 +180,16 @@ def test_matching_is_hashable():
     b = make_matching([(2, 4), (1, 3)])
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_public_surface_resolves_and_omits_test_oracles():
+    import indematch
+
+    for name in indematch.__all__:
+        assert hasattr(indematch, name), name
+    demoted = {
+        "contains", "reverse", "Relation", "edge_relation", "crossing",
+        "shadow", "count_proper_rr_sequences",
+    }
+    assert not demoted & set(indematch.__all__)
+    assert not any(hasattr(indematch, name) for name in demoted)

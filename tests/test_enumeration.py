@@ -7,7 +7,6 @@ from indematch import (
     build_pin_tree,
     canonical,
     census,
-    contains,
     is_indecomposable,
     make_matching,
     recurrence_counts,
@@ -17,7 +16,7 @@ from indematch.enumeration import SOFT_CAP
 from indematch.errors import SizeCapExceeded, SizeTooSmall
 from indematch.patterns import PatternKind
 
-from helpers import all_pin_sequences
+from helpers import all_pin_sequences, contains
 
 TOTALS = {1: 1, 2: 3, 3: 15, 4: 105, 5: 945, 6: 10395}
 INDECOMPOSABLE = {1: 1, 2: 1, 3: 4, 4: 27, 5: 248, 6: 2830}

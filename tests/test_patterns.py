@@ -18,7 +18,6 @@ from indematch import (
     longest_monotone,
     make_matching,
     max_pattern,
-    reverse,
     subpattern,
 )
 from indematch.errors import (
@@ -29,7 +28,7 @@ from indematch.errors import (
     UnknownEdge,
 )
 
-from helpers import matchings, oracle_increasing_length, oracle_max_size
+from helpers import matchings, oracle_increasing_length, oracle_max_size, reverse
 
 INT4 = canonical(PatternKind.INTERLEAVING, 4)
 RBN4 = canonical(PatternKind.RIGHT_BROKEN_NESTING, 4)

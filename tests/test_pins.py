@@ -8,11 +8,9 @@ from indematch import (
     Segment,
     build_pin_tree,
     classify_sequence,
-    count_proper_rr_sequences,
     grow_right_reaching,
     make_matching,
     properize,
-    shadow,
     splits,
 )
 from indematch.errors import (
@@ -23,7 +21,7 @@ from indematch.errors import (
     UnknownEdge,
 )
 
-from helpers import indecomposable_matchings
+from helpers import count_proper_rr_sequences, indecomposable_matchings, shadow
 
 CHAIN = make_matching([(3, 5), (4, 7), (1, 6), (2, 8)])
 FORCED = (Edge(3, 5), Edge(4, 7), Edge(1, 6), Edge(2, 8))
@@ -128,6 +126,18 @@ def test_properize_backtracks_where_the_greedy_walk_goes_improper():
     out = properize(m, pins)
     assert out.pins == (Edge(4, 7), Edge(5, 9), Edge(1, 8), Edge(2, 10))
     assert out.is_proper and out.is_right_reaching
+
+
+def test_properize_long_chain_does_not_recurse():
+    # One search step per pin: far past the default recursion limit.
+    n = 3000
+    chain = make_matching(
+        [(1, 3)] + [(2 * i, 2 * i + 3) for i in range(1, n - 1)] + [(2 * n - 2, 2 * n)]
+    )
+    pins = chain.edges()
+    out = properize(chain, pins)
+    assert out.pins[0] == pins[0]
+    assert out.is_pin_sequence and out.is_proper and out.is_right_reaching
 
 
 @settings(max_examples=150)
