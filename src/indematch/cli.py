@@ -331,6 +331,22 @@ def _read_matching(text: str) -> Matching:
     return parse_matching(text)
 
 
+def _read_certificate(path: str) -> object:
+    """The JSON value in a certificate file ('-' reads stdin); undecodable
+    bytes and non-JSON text are certificate defects."""
+    try:
+        if path == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                raw = fh.read()
+        return json.loads(raw)
+    except UnicodeDecodeError as exc:
+        raise InvariantViolation(f"certificate is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvariantViolation(f"certificate is not valid JSON: {exc}") from exc
+
+
 def _flags(matching: Matching, pins: tuple[Edge, ...]) -> str:
     cls = classify_sequence(matching, pins)
     yn = {True: "yes", False: "no"}
@@ -449,8 +465,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     matching = _read_matching(args.matching)
     highlight: tuple[Edge, ...] = ()
     if args.witness is not None:
-        with open(args.witness, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_certificate(args.witness)
         if not isinstance(doc, dict) or "edges" not in doc:
             raise InvariantViolation("certificate lacks an edge list")
         highlight = _certificate_edges(doc["edges"])
@@ -464,16 +479,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_cert(args: argparse.Namespace) -> int:
-    if args.certificate == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(args.certificate, encoding="utf-8") as fh:
-            raw = fh.read()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InvariantViolation(f"certificate is not valid JSON: {exc}") from exc
-    print(verify_certificate(doc))
+    print(verify_certificate(_read_certificate(args.certificate)))
     return 0
 
 

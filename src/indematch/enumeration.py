@@ -154,14 +154,17 @@ def _is_avoider_partner(partner: tuple[int, ...], k: int) -> bool:
     readings genuinely disagree.
     """
     matching = Matching(partner)
-    for kind in (
-        PatternKind.INTERLEAVING,
-        PatternKind.RIGHT_BROKEN_NESTING,
-        PatternKind.LEFT_BROKEN_NESTING,
-    ):
-        if max_pattern(matching, kind)[0] >= k:
-            return False
-    return build_pin_tree(matching, k).max_length < k
+    # The pin tree is the cheapest check and rules out most hosts.
+    if build_pin_tree(matching, k).max_length >= k:
+        return False
+    return all(
+        max_pattern(matching, kind)[0] < k
+        for kind in (
+            PatternKind.INTERLEAVING,
+            PatternKind.RIGHT_BROKEN_NESTING,
+            PatternKind.LEFT_BROKEN_NESTING,
+        )
+    )
 
 
 @dataclass(frozen=True)

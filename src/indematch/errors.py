@@ -88,9 +88,10 @@ class InsufficientCrossers(MatchingError):
 
 
 class SizeCapExceeded(MatchingError):
-    def __init__(self, n: int, cap: int) -> None:
+    def __init__(self, n: int, cap: int, message: str | None = None) -> None:
         super().__init__(
-            f"n={n} exceeds the soft cap of {cap}; pass allow_large=True to override"
+            message
+            or f"n={n} exceeds the soft cap of {cap}; pass allow_large=True to override"
         )
         self.n = n
         self.cap = cap

@@ -91,22 +91,26 @@ def grow_right_reaching(matching: Matching, start: Edge) -> tuple[Edge, ...]:
         raise UnknownEdge(start)
     if not is_indecomposable(matching):
         raise NotIndecomposable()
+    # Taken pins lie inside the shadow [lo, hi] and fail the split test, so
+    # the scan needs no record of them.
+    top = matching.top
+    edges = matching.edges()
     pins = [start]
     lo, hi = start
-    while matching.top not in pins[-1]:
-        current = Segment(lo, hi)
-        taken = set(pins)
+    while hi != top:
         best: Edge | None = None
         best_key: tuple[int, int] | None = None
-        for e in matching.edges():
-            if e in taken or not splits(matching, e, current):
+        for e in edges:
+            a, b = e
+            a_in = lo <= a <= hi
+            if a_in == (lo <= b <= hi):
                 continue
-            if matching.top in e:
+            if b == top:
                 best = e
                 break
-            inner, outer = (e.left, e.right) if e.left in current else (e.right, e.left)
-            if best_key is None or (outer, inner) > best_key:
-                best, best_key = e, (outer, inner)
+            key = (b, a) if a_in else (a, b)
+            if best_key is None or key > best_key:
+                best, best_key = e, key
         if best is None:
             # Unreachable past the indecomposability check; the stuck shadow
             # would be a nontrivial interval.
@@ -206,6 +210,12 @@ def build_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
     a suffix of a proper right-reaching sequence is again one, so every such
     sequence of length <= depth_cap appears.  Candidate edges are tried in
     (left, right) order, making the breadth-first node order deterministic.
+
+    Each candidate is decided by one walk over the node's pins on int
+    bounds, carrying the shadows (prev, cur) of the sequence so far: every
+    pin must split cur and not split prev, as in classify_sequence.  A
+    candidate already in the node lies inside the shadow by the time the
+    walk meets it and fails the split test, so pins stay distinct.
     """
     if depth_cap < 1:
         raise ValueError(f"depth_cap must be at least 1, got {depth_cap}")
@@ -222,12 +232,22 @@ def build_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
         node = nodes[head]
         if len(node) < depth_cap:
             for e in edges:
-                if e in node:
-                    continue
-                cls = classify_sequence(matching, (e,) + node)
-                if cls.is_pin_sequence and cls.is_proper:
+                # (plo, phi) starts as the empty segment (0, -1): no shadow
+                # precedes the candidate.
+                plo, phi = 0, -1
+                lo, hi = e
+                for a, b in node:
+                    if (lo <= a <= hi) == (lo <= b <= hi) or (
+                        (plo <= a <= phi) != (plo <= b <= phi)
+                    ):
+                        break
+                    plo, phi = lo, hi
+                    if a < lo:
+                        lo = a
+                    if b > hi:
+                        hi = b
+                else:
                     nodes.append((e,) + node)
                     parents.append(head)
         head += 1
     return PinTree(matching, tuple(nodes), tuple(parents))
-

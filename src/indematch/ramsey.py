@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import Matching, _is_indecomposable_partner, is_indecomposable
+from .core import Edge, Matching, _is_indecomposable_partner, is_indecomposable
 from .enumeration import _host_shards, _iter_partner_tuples_shard, _run_shards
 from .errors import (
     InvariantViolation,
@@ -25,12 +25,16 @@ from .errors import (
     SizeCapExceeded,
     SizeTooSmall,
 )
-from .patterns import Witness, WitnessKind, crossers, extract_from_crossed_edge
+from .patterns import Witness, WitnessKind, extract_from_crossed_edge
 from .pins import build_pin_tree
 
 # verify_theorem streams every matching, which stops being desk scale
 # shortly after this.
 EXHAUSTIVE_CAP = 8
+# The largest k whose stated bound (2k)^(2k) has at most 4300 decimal
+# digits, Python's default limit for int-to-str conversion.  A larger k
+# is refused before any big-int arithmetic.
+K_CAP = 685
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,10 @@ def bounds(k: int) -> Bounds:
     stated bound overflows 64 bits already at k = 5."""
     if k < 2:
         raise SizeTooSmall(k, 2, "k")
+    if k > K_CAP:
+        raise SizeCapExceeded(
+            k, K_CAP, f"k={k} exceeds the cap of {K_CAP}: (2k)^(2k) would pass 4300 digits"
+        )
     ratio = 2 * (k - 1) ** 2 + 1
     return Bounds(
         k=k,
@@ -79,23 +87,37 @@ class WitnessReport:
         return self.witness is not None
 
 
+def _crossing_count(partner: tuple[int, ...], left: int, right: int) -> int:
+    """Number of edges crossing left-right: each has exactly one endpoint
+    strictly between left and right, so count the inner vertices whose
+    partner lies outside."""
+    return sum(not left < p < right for p in partner[left : right - 1])
+
+
 def witness(matching: Matching, k: int) -> WitnessReport:
     """Search an indecomposable matching for a size-k interleaving, broken
     nesting or proper pin sequence.
 
     Heavy-edge case first: the first edge (by endpoints) with at least
-    crossing_threshold crossers feeds extract_from_crossed_edge.  Otherwise
-    the pin tree capped at depth k is built; its first length-k node is a
-    witness.  Failing both, the counting bound must hold, and a report with
-    the deepest tree node as partial witness is returned.
+    crossing_threshold crossers feeds extract_from_crossed_edge.  Crossers
+    are counted straight off the partner table, and the scan stops at that
+    edge.  Otherwise the pin tree capped at depth k is built; its first
+    length-k node is a witness.  Failing both, the counting bound must
+    hold, and a report with the deepest tree node as partial witness is
+    returned.
     """
     b = bounds(k)
     if not is_indecomposable(matching):
         raise NotIndecomposable()
-    for e in matching.edges():
-        left, right = crossers(matching, e)
-        if len(left) + len(right) >= b.crossing_threshold:
-            return WitnessReport(b, matching.n, extract_from_crossed_edge(matching, e, k), None)
+    partner = matching.partner
+    for left, right in enumerate(partner, start=1):
+        # An edge spanning fewer inner vertices than the threshold cannot
+        # have enough crossers; this also skips each edge's right endpoint.
+        if right - left > b.crossing_threshold and (
+            _crossing_count(partner, left, right) >= b.crossing_threshold
+        ):
+            found = extract_from_crossed_edge(matching, Edge(left, right), k)
+            return WitnessReport(b, matching.n, found, None)
     tree = build_pin_tree(matching, k)
     for node in tree.nodes:
         if len(node) == k:

@@ -16,14 +16,24 @@ from indematch import (
     Edge,
     Matching,
     PatternKind,
+    PinTree,
     Segment,
+    Witness,
+    WitnessKind,
+    WitnessReport,
+    all_matchings,
+    bounds,
     build_pin_tree,
     canonical,
+    classify_sequence,
+    crossers,
+    extract_from_crossed_edge,
     is_indecomposable,
     make_matching,
+    splits,
 )
 from indematch.core import _induced_partner
-from indematch.errors import SharedVertex, UnknownEdge
+from indematch.errors import NotIndecomposable, SharedVertex, UnknownEdge
 
 
 class Relation(Enum):
@@ -107,6 +117,12 @@ def indecomposable_matchings(min_n: int = 1, max_n: int = 6):
     return matchings(min_n, max_n).filter(is_indecomposable)
 
 
+def small_indecomposables(n_max: int) -> Iterator[Matching]:
+    """Every indecomposable matching with 1 <= n <= n_max."""
+    for n in range(1, n_max + 1):
+        yield from filter(is_indecomposable, all_matchings(n))
+
+
 def oracle_intervals(matching: Matching) -> tuple[Segment, ...]:
     """All nontrivial intervals by direct closure check of every segment."""
     m = matching.top
@@ -172,3 +188,74 @@ def random_indecomposable(rng, n: int) -> Matching:
         m = random_matching(rng, n)
         if is_indecomposable(m):
             return m
+
+
+# Reference versions of the witness path, built from the validated
+# classify_sequence, splits and crossers; the int kernels in pins and
+# ramsey must return exactly what these return.
+
+
+def reference_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
+    """build_pin_tree by classifying every prepended candidate."""
+    if matching.n == 0:
+        return PinTree(matching, (), ())
+    root = Edge(matching.partner_of(matching.top), matching.top)
+    nodes = [(root,)]
+    parents = [-1]
+    head = 0
+    while head < len(nodes):
+        node = nodes[head]
+        if len(node) < depth_cap:
+            for e in matching.edges():
+                if e in node:
+                    continue
+                cls = classify_sequence(matching, (e,) + node)
+                if cls.is_pin_sequence and cls.is_proper:
+                    nodes.append((e,) + node)
+                    parents.append(head)
+        head += 1
+    return PinTree(matching, tuple(nodes), tuple(parents))
+
+
+def reference_grow_right_reaching(matching: Matching, start: Edge) -> tuple[Edge, ...]:
+    """grow_right_reaching with the split test and taken set spelled out."""
+    pins = [start]
+    lo, hi = start
+    while matching.top not in pins[-1]:
+        current = Segment(lo, hi)
+        taken = set(pins)
+        best = None
+        best_key = None
+        for e in matching.edges():
+            if e in taken or not splits(matching, e, current):
+                continue
+            if matching.top in e:
+                best = e
+                break
+            inner, outer = (e.left, e.right) if e.left in current else (e.right, e.left)
+            if best_key is None or (outer, inner) > best_key:
+                best, best_key = e, (outer, inner)
+        if best is None:
+            raise NotIndecomposable("no edge splits the shadow")
+        pins.append(best)
+        lo, hi = min(lo, best.left), max(hi, best.right)
+    return tuple(pins)
+
+
+def reference_witness(matching: Matching, k: int) -> WitnessReport:
+    """witness with crossers called on every edge until a heavy one."""
+    b = bounds(k)
+    for e in matching.edges():
+        left, right = crossers(matching, e)
+        if len(left) + len(right) >= b.crossing_threshold:
+            return WitnessReport(b, matching.n, extract_from_crossed_edge(matching, e, k), None)
+    tree = reference_pin_tree(matching, k)
+    for node in tree.nodes:
+        if len(node) == k:
+            found = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, node)
+            return WitnessReport(b, matching.n, found, None)
+    partial = None
+    if tree.nodes:
+        deepest = next(n for n in tree.nodes if len(n) == tree.max_length)
+        partial = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, deepest)
+    return WitnessReport(b, matching.n, None, partial)

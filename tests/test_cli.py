@@ -1,5 +1,6 @@
 import io
 import json
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -30,6 +31,8 @@ from indematch.errors import (
     UnknownEdge,
     VertexOutOfRange,
 )
+
+from indematch.ramsey import K_CAP
 
 from helpers import matchings
 
@@ -367,3 +370,31 @@ def test_cli_reports_unreadable_files(capsys, tmp_path):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_rejects_undecodable_and_non_json_certificates(capsys, tmp_path):
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    text = tmp_path / "text.json"
+    text.write_text("not a certificate", encoding="utf-8")
+    for path, reason in ((utf16, "not UTF-8"), (text, "not valid JSON")):
+        for argv in (["verify-cert", str(path)], ["render", "1-3 2-4", "--witness", str(path)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: certificate is {reason}") and err.count("\n") == 1
+
+
+def test_cli_refuses_k_past_the_cap(capsys):
+    assert main(["witness", "1-3 2-4", "-k", str(K_CAP)]) == 0
+    capsys.readouterr()
+    assert main(["witness", "-k", "800", "1-3 2-4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: k=800 exceeds the cap") and err.count("\n") == 1
+
+
+def test_huge_certificate_k_is_refused_quickly():
+    doc = dict(_valid_doc(), k=100_000_000)
+    start = time.perf_counter()
+    with pytest.raises(MatchingError):
+        verify_certificate(doc)
+    assert time.perf_counter() - start < 1

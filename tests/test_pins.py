@@ -21,7 +21,14 @@ from indematch.errors import (
     UnknownEdge,
 )
 
-from helpers import count_proper_rr_sequences, indecomposable_matchings, shadow
+from helpers import (
+    count_proper_rr_sequences,
+    indecomposable_matchings,
+    reference_grow_right_reaching,
+    reference_pin_tree,
+    shadow,
+    small_indecomposables,
+)
 
 CHAIN = make_matching([(3, 5), (4, 7), (1, 6), (2, 8)])
 FORCED = (Edge(3, 5), Edge(4, 7), Edge(1, 6), Edge(2, 8))
@@ -207,3 +214,23 @@ def test_pin_tree_nodes_are_proper_suffix_closed(m):
             assert t.nodes[t.parents[i]] == node[1:]
     assert len(set(t.nodes)) == len(t.nodes)
     assert count_proper_rr_sequences(m) >= m.n
+
+
+def test_pin_tree_and_grow_match_the_reference_on_every_small_host():
+    hosts = 0
+    for m in small_indecomposables(6):
+        hosts += 1
+        for cap in (3, 4):
+            assert build_pin_tree(m, cap) == reference_pin_tree(m, cap), (m, cap)
+        for start in m.edges():
+            assert grow_right_reaching(m, start) == reference_grow_right_reaching(m, start)
+    assert hosts == 1 + 1 + 4 + 27 + 248 + 2830
+
+
+@settings(max_examples=60, deadline=None)
+@given(indecomposable_matchings(min_n=7, max_n=16))
+def test_pin_tree_and_grow_match_the_reference_on_larger_hosts(m):
+    for cap in (3, 4):
+        assert build_pin_tree(m, cap) == reference_pin_tree(m, cap)
+    for start in m.edges():
+        assert grow_right_reaching(m, start) == reference_grow_right_reaching(m, start)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 
@@ -6,6 +8,7 @@ from indematch import (
     PatternKind,
     Side,
     WitnessKind,
+    all_matchings,
     bounds,
     build_pin_tree,
     canonical,
@@ -16,7 +19,9 @@ from indematch import (
 )
 from indematch.errors import NotIndecomposable, SizeCapExceeded, SizeTooSmall
 
-from helpers import indecomposable_matchings
+from indematch.ramsey import K_CAP, _crossing_count
+
+from helpers import indecomposable_matchings, reference_witness
 
 INT4 = canonical(PatternKind.INTERLEAVING, 4)
 
@@ -37,6 +42,23 @@ def test_bounds_closed_forms():
         assert b.stated == (2 * k) ** (2 * k)
         assert b.crossing_threshold == ratio + 1
         assert b.tree_bound * (ratio - 1) == ratio**k - 1
+
+
+def test_bounds_refuse_k_past_the_cap():
+    # Stated bound as a decimal string at the cap fits the int-to-str limit;
+    # one past it would not.
+    assert len(str(bounds(K_CAP).stated)) <= 4300
+    assert 2 * (K_CAP + 1) * math.log10(2 * (K_CAP + 1)) >= 4300
+    with pytest.raises(SizeCapExceeded, match=f"k={K_CAP + 1} exceeds the cap"):
+        bounds(K_CAP + 1)
+
+
+def test_crossing_count_matches_crossers_on_every_small_matching():
+    for n in range(7):
+        for m in all_matchings(n):
+            for e in m.edges():
+                left, right = crossers(m, e)
+                assert _crossing_count(m.partner, e.left, e.right) == len(left) + len(right)
 
 
 def test_witness_pin_sequence_path():
@@ -115,6 +137,13 @@ def test_witness_report_consistency(m):
             assert tree.max_length <= k - 1
             assert report.partial is not None
             assert report.partial.size == tree.max_length
+
+
+@settings(max_examples=120, deadline=None)
+@given(indecomposable_matchings(min_n=1, max_n=14))
+def test_witness_matches_the_reference(m):
+    for k in (2, 3, 4):
+        assert witness(m, k) == reference_witness(m, k)
 
 
 @settings(max_examples=120)
