@@ -63,14 +63,20 @@ def parse_matching(text: str) -> Matching:
     return _parse_chord_word(text)
 
 
+def _parse_pair(token: str, pos: int) -> tuple[int, int]:
+    """The endpoints of an a-b token found at 1-based offset pos."""
+    if not re.fullmatch(r"\d+-\d+", token):
+        raise ParseError(f"expected a-b, got {token!r}", pos)
+    a, b = token.split("-")
+    try:
+        return int(a), int(b)
+    except ValueError:  # past the digit limit of int(); no vertex is that large
+        raise ParseError(f"vertex number too long in {token[:24]!r}...", pos) from None
+
+
 def _parse_edge_list(text: str) -> Matching:
-    pairs = []
-    for m in re.finditer(r"\S+", text):
-        token = m.group()
-        if not re.fullmatch(r"\d+-\d+", token):
-            raise ParseError(f"expected a-b, got {token!r}", m.start() + 1)
-        a, b = token.split("-")
-        pairs.append((int(a), int(b)))
+    # Every token parses before make_matching checks the vertex set.
+    pairs = [_parse_pair(m.group(), m.start() + 1) for m in re.finditer(r"\S+", text)]
     return make_matching(pairs)
 
 
@@ -170,10 +176,16 @@ def certificate_document(report: WitnessReport, host: Matching) -> dict:
 _FOUND_KINDS = {"interleaving", "broken_nesting", "proper_pin_sequence"}
 
 
+def _is_int(value: object) -> bool:
+    """True for a JSON integer; JSON true and false decode to bool, a
+    subclass of int, and are not integers here."""
+    return type(value) is int
+
+
 def _certificate_edges(pairs: object) -> tuple[Edge, ...]:
     """A certificate's edge list, checked to be a list of two-integer lists."""
     if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(v, int) for v in p)
+        isinstance(p, list) and len(p) == 2 and all(_is_int(v) for v in p)
         for p in pairs
     ):
         raise InvariantViolation("edges must be a list of two-integer lists")
@@ -190,18 +202,21 @@ def verify_certificate(doc: dict) -> str:
     """
     if not isinstance(doc, dict):
         raise InvariantViolation("certificate must be a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise InvariantViolation(f"unsupported schema_version {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    if not _is_int(version) or version != SCHEMA_VERSION:
+        raise InvariantViolation(f"unsupported schema_version {version!r}")
     missing = {"kind", "k", "host", "edges", "size", "bounds"} - doc.keys()
     if missing:
         raise InvariantViolation(f"certificate lacks fields {sorted(missing)}")
     kind = doc["kind"]
     k = doc["k"]
-    if not isinstance(k, int):
+    if not isinstance(kind, str):
+        raise InvariantViolation("kind must be a string")
+    if not _is_int(k):
         raise InvariantViolation("k must be an integer")
     if not isinstance(doc["host"], str):
         raise InvariantViolation("host must be a string")
-    if not isinstance(doc["size"], int):
+    if not _is_int(doc["size"]):
         raise InvariantViolation("size must be an integer")
     b = bounds(k)
     want = {
@@ -230,7 +245,10 @@ def verify_certificate(doc: dict) -> str:
         side = doc.get("side")
         if side not in ("left", "right"):
             raise InvariantViolation(f"bad side {side!r}")
-        if doc.get("breaker") != doc["edges"][0]:
+        breaker = doc.get("breaker")
+        if not (isinstance(breaker, list) and all(map(_is_int, breaker))) or (
+            breaker != doc["edges"][0]
+        ):
             raise InvariantViolation("breaker must be the first edge")
         pattern = (
             PatternKind.RIGHT_BROKEN_NESTING
@@ -244,7 +262,8 @@ def verify_certificate(doc: dict) -> str:
         if not (cls.is_pin_sequence and cls.is_proper):
             raise InvariantViolation("edges are not a proper pin sequence")
     elif kind == "below_threshold":
-        if doc.get("edge_count") != host.n:
+        edge_count = doc.get("edge_count")
+        if not _is_int(edge_count) or edge_count != host.n:
             raise InvariantViolation("edge_count disagrees with the host")
         if host.n >= b.tree_bound:
             raise InvariantViolation(
@@ -375,10 +394,7 @@ def _cmd_pins(args: argparse.Namespace) -> int:
     if matching.n == 0:
         raise EmptyMatching("no edge to start a pin sequence from")
     if args.start is not None:
-        m = re.fullmatch(r"(\d+)-(\d+)", args.start)
-        if not m:
-            raise ParseError(f"expected a-b, got {args.start!r}", 1)
-        start = as_edge((int(m.group(1)), int(m.group(2))))
+        start = as_edge(_parse_pair(args.start, 1))
     else:
         start = matching.edges()[0]
     grown = grow_right_reaching(matching, start)

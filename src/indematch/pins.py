@@ -86,37 +86,41 @@ def grow_right_reaching(matching: Matching, start: Edge) -> tuple[Edge, ...]:
     reaching furthest outside the shadow, tie-broken by the inner endpoint.
     The result is a pin sequence but not in general a proper one; feed it to
     properize.
+
+    A splitting edge with its left end inside the shadow [lo, hi] outranks
+    any with its right end inside, so the choice needs no scan of the edges.
+    With reach the greatest partner of a vertex in [lo, hi], the pin is
+    (partner of reach, reach) when reach > hi; that is also the edge to the
+    greatest vertex whenever it splits.  Otherwise it is the edge at the
+    first vertex below lo whose partner lies inside.  Each vertex is read
+    once, when it enters the shadow, so the whole growth is O(n).
     """
     if not matching.has_edge(start):
         raise UnknownEdge(start)
     if not is_indecomposable(matching):
         raise NotIndecomposable()
-    # Taken pins lie inside the shadow [lo, hi] and fail the split test, so
-    # the scan needs no record of them.
     top = matching.top
-    edges = matching.edges()
+    partner = (0,) + matching.partner
     pins = [start]
     lo, hi = start
+    reach = max(partner[lo : hi + 1])
     while hi != top:
-        best: Edge | None = None
-        best_key: tuple[int, int] | None = None
-        for e in edges:
-            a, b = e
-            a_in = lo <= a <= hi
-            if a_in == (lo <= b <= hi):
-                continue
-            if b == top:
-                best = e
-                break
-            key = (b, a) if a_in else (a, b)
-            if best_key is None or key > best_key:
-                best, best_key = e, key
-        if best is None:
-            # Unreachable past the indecomposability check; the stuck shadow
-            # would be a nontrivial interval.
-            raise NotIndecomposable("no edge splits the shadow")
-        pins.append(best)
-        lo, hi = min(lo, best.left), max(hi, best.right)
+        if reach > hi:
+            a, b = partner[reach], reach
+            reach = max(reach, *partner[hi + 1 : b + 1])
+            hi = b
+        else:
+            a = lo - 1
+            while a and not lo <= partner[a] <= hi:
+                a -= 1
+            if not a:
+                # Unreachable past the indecomposability check; the stuck
+                # shadow would be a nontrivial interval.
+                raise NotIndecomposable("no edge splits the shadow")
+            b = partner[a]
+            reach = max(reach, *partner[a:lo])
+            lo = a
+        pins.append(Edge(a, b))
     return tuple(pins)
 
 
@@ -130,6 +134,13 @@ def properize(matching: Matching, pins: tuple[Edge, ...]) -> PinSequence:
     returned.  The greedy walk alone is not enough: it can revisit a pin or
     emit an improper sequence even on grown input, so failed choices are
     backtracked.
+
+    A valid next pin splits the current shadow cur and misses the previous
+    one prev, so it has one endpoint in cur minus prev and the other outside
+    cur.  With the input pins indexed by vertex, a search state reads only
+    the vertices of cur minus prev and sorts what it finds; along the final
+    chain these vertex sets are disjoint, so the search costs O(n log n)
+    when it does not backtrack.
     """
     cls = classify_sequence(matching, pins)
     if not cls.is_pin_sequence:
@@ -137,31 +148,34 @@ def properize(matching: Matching, pins: tuple[Edge, ...]) -> PinSequence:
     if not cls.is_right_reaching:
         raise NotRightReaching()
 
-    # A valid next pin splits the current shadow and not the previous one,
-    # which forces it to cross the newest pin; the pair of shadows is the
-    # whole search state.  Used pins lie inside the current shadow and fail
-    # the split test, so distinctness needs no bookkeeping.  The pins were
-    # validated above, so the search runs on int pairs, depth first on an
-    # explicit stack: frames[i] holds the state reached by chain[: i + 1]
-    # and the candidates there not yet tried.  The empty segment (0, -1)
-    # stands in for the missing shadow before the first pin.
+    # The pair of shadows is the whole search state.  Used pins lie inside
+    # the current shadow and fail the split test, so distinctness needs no
+    # bookkeeping.  The pins were validated above, so the search runs on int
+    # pairs, depth first on an explicit stack: frames[i] holds the state
+    # reached by chain[: i + 1] and the candidates there not yet tried.  The
+    # empty segment (a, a - 1) at the first pin's left end a stands in for
+    # the missing shadow before the first pin, so cur minus prev is the
+    # whole first pin's span.
     top = matching.top
-    latest_first = [(e.left, e.right) for e in reversed(pins)]
-    chain = [(pins[0].left, pins[0].right)]
+    pairs = [(e.left, e.right) for e in pins]
+    pin_at = [-1] * (top + 1)
+    for i, (a, b) in enumerate(pairs):
+        pin_at[a] = pin_at[b] = i
+    chain = [pairs[0]]
     frames = []
     dead: set[tuple] = set()
-    state = ((0, -1), chain[0])
+    state = ((pairs[0][0], pairs[0][0] - 1), pairs[0])
     while top not in chain[-1]:
         (plo, phi), (lo, hi) = state
-        ranked = [
-            (a, b)
-            for a, b in latest_first
-            if (lo <= a <= hi) + (lo <= b <= hi) == 1
-            and (plo <= a <= phi) + (plo <= b <= phi) != 1
-        ]
-        # The one pin touching the greatest vertex ends the search: try it first.
-        ranked.sort(key=lambda e: top not in e)
-        frames.append((state, iter(ranked)))
+        found = []
+        for v in (*range(lo, plo), *range(phi + 1, hi + 1)):
+            i = pin_at[v]
+            if i >= 0 and not lo <= sum(pairs[i]) - v <= hi:
+                found.append(i)
+        # The one pin touching the greatest vertex ends the search: try it
+        # first, then the rest latest-input-first.
+        found.sort(key=lambda i: (top not in pairs[i], -i))
+        frames.append((state, iter([pairs[i] for i in found])))
         state = None
         while state is None:
             (_, cur), todo = frames[-1]

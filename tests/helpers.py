@@ -16,6 +16,7 @@ from indematch import (
     Edge,
     Matching,
     PatternKind,
+    PinSequence,
     PinTree,
     Segment,
     Witness,
@@ -33,7 +34,13 @@ from indematch import (
     splits,
 )
 from indematch.core import _induced_partner
-from indematch.errors import NotIndecomposable, SharedVertex, UnknownEdge
+from indematch.errors import (
+    InvariantViolation,
+    NotIndecomposable,
+    NotRightReaching,
+    SharedVertex,
+    UnknownEdge,
+)
 
 
 class Relation(Enum):
@@ -240,6 +247,70 @@ def reference_grow_right_reaching(matching: Matching, start: Edge) -> tuple[Edge
         pins.append(best)
         lo, hi = min(lo, best.left), max(hi, best.right)
     return tuple(pins)
+
+
+def reference_properize(matching: Matching, pins: tuple[Edge, ...]) -> PinSequence:
+    """Thin a right-reaching pin sequence down to a proper one.
+
+    Every output pin is drawn from the input and the first pin is kept.
+    Candidates for each step are tried latest-input-first, so when the
+    greedy walk (always the pin of greatest input position crossing the
+    current one) already yields a proper sequence, that exact sequence is
+    returned.  The greedy walk alone is not enough: it can revisit a pin or
+    emit an improper sequence even on grown input, so failed choices are
+    backtracked.
+    """
+    cls = classify_sequence(matching, pins)
+    if not cls.is_pin_sequence:
+        raise NotRightReaching("input is not a pin sequence")
+    if not cls.is_right_reaching:
+        raise NotRightReaching()
+
+    # A valid next pin splits the current shadow and not the previous one,
+    # which forces it to cross the newest pin; the pair of shadows is the
+    # whole search state.  Used pins lie inside the current shadow and fail
+    # the split test, so distinctness needs no bookkeeping.  The pins were
+    # validated above, so the search runs on int pairs, depth first on an
+    # explicit stack: frames[i] holds the state reached by chain[: i + 1]
+    # and the candidates there not yet tried.  The empty segment (0, -1)
+    # stands in for the missing shadow before the first pin.
+    top = matching.top
+    latest_first = [(e.left, e.right) for e in reversed(pins)]
+    chain = [(pins[0].left, pins[0].right)]
+    frames = []
+    dead: set[tuple] = set()
+    state = ((0, -1), chain[0])
+    while top not in chain[-1]:
+        (plo, phi), (lo, hi) = state
+        ranked = [
+            (a, b)
+            for a, b in latest_first
+            if (lo <= a <= hi) + (lo <= b <= hi) == 1
+            and (plo <= a <= phi) + (plo <= b <= phi) != 1
+        ]
+        # The one pin touching the greatest vertex ends the search: try it first.
+        ranked.sort(key=lambda e: top not in e)
+        frames.append((state, iter(ranked)))
+        state = None
+        while state is None:
+            (_, cur), todo = frames[-1]
+            for e in todo:
+                grown = (min(cur[0], e[0]), max(cur[1], e[1]))
+                if (cur, grown) not in dead:
+                    chain.append(e)
+                    state = (cur, grown)
+                    break
+            else:
+                dead.add(frames.pop()[0])
+                if not frames:
+                    raise InvariantViolation(
+                        "no proper right-reaching subsequence of the pins exists"
+                    )
+                chain.pop()
+    out = classify_sequence(matching, tuple(Edge(a, b) for a, b in chain))
+    if not (out.is_pin_sequence and out.is_proper and out.is_right_reaching):
+        raise InvariantViolation("search produced an invalid sequence")
+    return out
 
 
 def reference_witness(matching: Matching, k: int) -> WitnessReport:

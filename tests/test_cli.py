@@ -5,7 +5,8 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from indematch import (
     Edge,
@@ -79,6 +80,14 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as exc:
         parse_matching("ABAABB")
     assert exc.value.position == 4
+
+
+def test_parse_refuses_overlong_vertex_numbers():
+    with pytest.raises(ParseError, match="too long") as exc:
+        parse_matching("1-2 3-" + "9" * 5000)
+    assert exc.value.position == 5
+    assert main(["check", "1-" + "9" * 5000]) == 1
+    assert main(["pins", "1-3 2-4", "--start", "1-" + "9" * 5000]) == 1
 
 
 def test_parse_semantic_errors_are_not_parse_errors():
@@ -194,9 +203,76 @@ def test_certificate_tampering_is_rejected():
     with pytest.raises(InvariantViolation, match="JSON object"):
         verify_certificate([doc])
 
-    for bad in (dict(doc, edges=[[1]]), dict(doc, edges=[5]), dict(doc, host=5)):
+    for bad in (
+        dict(doc, edges=[[1]]),
+        dict(doc, edges=[5]),
+        dict(doc, host=5),
+        dict(doc, kind=["interleaving"]),
+    ):
         with pytest.raises(InvariantViolation, match="must be"):
             verify_certificate(bad)
+
+
+def _valid_docs() -> list[dict]:
+    """One valid certificate of each kind."""
+    hosts = (
+        (canonical(PatternKind.INTERLEAVING, 5), 2),
+        (make_matching([(5, 11), (1, 10), (2, 9), (3, 8), (4, 7), (6, 12)]), 2),
+        (INT4, 2),
+        (make_matching([(1, 3), (2, 4)]), 3),
+    )
+    docs = [json.loads(json.dumps(certificate_document(witness(m, k), m))) for m, k in hosts]
+    assert [d["kind"] for d in docs] == [
+        "interleaving", "broken_nesting", "proper_pin_sequence", "below_threshold",
+    ]
+    return docs
+
+
+VALID_DOCS = _valid_docs()
+
+
+def _single_edge_doc() -> dict:
+    """A below-threshold certificate whose size and edge_count are both 1,
+    on a host with the edge 1-2."""
+    single = make_matching([(1, 2)])
+    doc = json.loads(json.dumps(certificate_document(witness(single, 2), single)))
+    assert doc["edge_count"] == doc["size"] == 1 and doc["edges"] == [[1, 2]]
+    return doc
+
+
+def _boolean_docs() -> list[dict]:
+    """Certificates that verify when true or 1.0 is read as the integer 1."""
+    doc = _single_edge_doc()
+    _, broken, _, pair = VALID_DOCS
+    assert pair["edges"][0] == [1, 3] and broken["breaker"] == [5, 11]
+    return [
+        dict(doc, schema_version=True),
+        dict(doc, schema_version=1.0),
+        dict(doc, size=True),
+        dict(doc, edge_count=True),
+        dict(doc, edges=[[True, 2]]),
+        dict(pair, edges=[[True, 3]] + pair["edges"][1:]),
+        dict(broken, breaker=[5.0, 11]),
+    ]
+
+
+def test_certificate_booleans_are_not_integers():
+    verify_certificate(_single_edge_doc())
+    for bad in _boolean_docs():
+        with pytest.raises(InvariantViolation, match="schema_version|integer|edge_count|breaker"):
+            verify_certificate(bad)
+    with pytest.raises(InvariantViolation, match="k must be an integer"):
+        verify_certificate(dict(_single_edge_doc(), k=True))
+
+
+def test_cmd_verify_cert_reports_mistyped_fields(capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    mistyped = [dict(_valid_doc(), kind=["interleaving"]), dict(_valid_doc(), kind={})]
+    for bad in mistyped + _boolean_docs():
+        cert.write_text(json.dumps(bad), encoding="utf-8")
+        assert main(["verify-cert", str(cert)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_below_threshold_certificate_tampering():
@@ -390,6 +466,41 @@ def test_cli_refuses_k_past_the_cap(capsys):
     assert main(["witness", "-k", "800", "1-3 2-4"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: k=800 exceeds the cap") and err.count("\n") == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+CERTIFICATE_FIELDS = (
+    "schema_version", "k", "host", "kind", "edges", "size", "bounds",
+    "side", "breaker", "edge_count",
+)
+
+
+TAMPERED_DOCS = st.builds(
+    lambda doc, field, value: dict(doc, **{field: value}),
+    st.sampled_from(VALID_DOCS),
+    st.sampled_from(CERTIFICATE_FIELDS),
+    JSON_VALUES,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES | TAMPERED_DOCS)
+@example(dict(VALID_DOCS[0], kind=["interleaving"]))
+@example(dict(VALID_DOCS[3], host="1-" + "9" * 5000))
+def test_verify_certificate_fuzz(doc):
+    # Any JSON value either verifies or is refused with a MatchingError,
+    # and either way quickly.
+    start = time.perf_counter()
+    try:
+        assert verify_certificate(doc).startswith("certificate ok: ")
+    except MatchingError:
+        pass
+    assert time.perf_counter() - start < 2
 
 
 def test_huge_certificate_k_is_refused_quickly():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -22,16 +24,44 @@ from indematch.errors import (
 )
 
 from helpers import (
+    all_pin_sequences,
     count_proper_rr_sequences,
     indecomposable_matchings,
     reference_grow_right_reaching,
     reference_pin_tree,
+    reference_properize,
     shadow,
     small_indecomposables,
 )
 
 CHAIN = make_matching([(3, 5), (4, 7), (1, 6), (2, 8)])
 FORCED = (Edge(3, 5), Edge(4, 7), Edge(1, 6), Edge(2, 8))
+
+
+def crossing_chain(n):
+    """1-3, then (2i, 2i+3) for i < n - 1, then (2n-2, 2n): each edge
+    crosses only its neighbours."""
+    return make_matching(
+        [(1, 3)] + [(2 * i, 2 * i + 3) for i in range(1, n - 1)] + [(2 * n - 2, 2 * n)]
+    )
+
+
+def outcome(f, *args):
+    """f's result, or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # any type: the two versions must raise the same one
+        return type(exc)
+
+
+def assert_grow_and_properize_match_the_reference(m):
+    for start in m.edges():
+        grown = grow_right_reaching(m, start)
+        assert grown == reference_grow_right_reaching(m, start), (m, start)
+        assert outcome(properize, m, grown) == outcome(reference_properize, m, grown), (
+            m,
+            start,
+        )
 
 
 def test_shadow():
@@ -145,6 +175,45 @@ def test_properize_long_chain_does_not_recurse():
     out = properize(chain, pins)
     assert out.pins[0] == pins[0]
     assert out.is_pin_sequence and out.is_proper and out.is_right_reaching
+
+
+def test_grow_and_properize_scale_linearly_on_a_long_chain():
+    # The quadratic scans took about 120 s here, the linear ones 0.5 s (2
+    # cores, Python 3.11.7).
+    chain = crossing_chain(20_000)
+    began = time.perf_counter()
+    grown = grow_right_reaching(chain, Edge(1, 3))
+    out = properize(chain, grown)
+    elapsed = time.perf_counter() - began
+    assert grown == chain.edges()
+    assert out.pins == grown
+    assert elapsed < 10, f"grow + properize took {elapsed:.1f} s"
+
+
+def test_grow_and_properize_match_the_reference_on_every_small_host():
+    hosts = 0
+    for m in small_indecomposables(6):
+        hosts += 1
+        assert_grow_and_properize_match_the_reference(m)
+    assert hosts == 3111
+
+
+def test_properize_matches_the_reference_on_every_small_pin_sequence():
+    right_reaching = 0
+    for m in small_indecomposables(5):
+        for pins in all_pin_sequences(m):
+            right_reaching += m.top in pins[-1]
+            assert outcome(properize, m, pins) == outcome(reference_properize, m, pins), (
+                m,
+                pins,
+            )
+    assert right_reaching == 4919
+
+
+@settings(max_examples=60, deadline=None)
+@given(indecomposable_matchings(min_n=7, max_n=40))
+def test_grow_and_properize_match_the_reference_on_larger_hosts(m):
+    assert_grow_and_properize_match_the_reference(m)
 
 
 @settings(max_examples=150)

@@ -1,0 +1,45 @@
+"""Smoke tests: each script in scripts/ runs at a tiny size and exits 0."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, args, header",
+    [
+        ("census_table.py", ["-n", "4"], " n         total  indecomposable"),
+        ("avoider_scan.py", ["-n", "4", "-k", "2", "3"], "k=2: tree bound 4, stated bound 256"),
+    ],
+)
+def test_script_runs(name, args, header):
+    done = run_script(name, *args)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0].startswith(header)
+
+
+def test_pattern_gallery_writes_svgs(tmp_path):
+    done = run_script("pattern_gallery.py", "-k", "2", "-o", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    first = tmp_path / "interleaving_2.svg"
+    assert done.stdout.splitlines()[0] == f"wrote {first}"
+    assert first.read_text(encoding="utf-8").startswith("<svg")
