@@ -3,8 +3,8 @@
 The only module that touches stdin, stdout or files.  Matchings travel as
 either an edge list ("3-5 4-7 1-6 2-8") or a chord word ("ABCDCADB", equal
 letters matched; labels appear in order of first occurrence).  Witness
-reports serialize to a versioned JSON certificate that verify_certificate
-re-checks from scratch.
+reports serialize to a versioned JSON certificate; verify_certificate
+re-reads one from its text alone and rebuilds the Witness it claims.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .core import (
     find_intervals,
     is_indecomposable,
     make_matching,
-    subpattern,
 )
 from .enumeration import census, scan_avoiders
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     ParseError,
     UnknownEdge,
 )
-from .patterns import PatternKind, Witness, canonical, canonical_edges
+from .patterns import PatternKind, Side, Witness, WitnessKind, canonical_edges
 from .pins import classify_sequence, grow_right_reaching, properize
 from .ramsey import WitnessReport, bounds, verify_theorem, witness
 
@@ -173,9 +172,6 @@ def certificate_document(report: WitnessReport, host: Matching) -> dict:
     return doc
 
 
-_FOUND_KINDS = {"interleaving", "broken_nesting", "proper_pin_sequence"}
-
-
 def _is_int(value: object) -> bool:
     """True for a JSON integer; JSON true and false decode to bool, a
     subclass of int, and are not integers here."""
@@ -195,10 +191,12 @@ def _certificate_edges(pairs: object) -> tuple[Edge, ...]:
 def verify_certificate(doc: dict) -> str:
     """Re-check a certificate from its serialized form alone.
 
-    Deliberately avoids the Witness class: patterns are re-checked by
-    inducing the sub-matching and comparing with the canonical pattern, pin
-    sequences by reclassification, bounds by recomputation.  Returns a
-    summary line; raises on any defect.
+    The reader checks the document's shape, recomputes the bounds, parses
+    the host and checks the edges, size and below-threshold counts; each
+    structure, the partial pin sequence included, is then decided by
+    building a Witness from the certificate, so the certificate and the
+    library share one definition of every kind.  Returns a summary line;
+    raises on any defect.
     """
     if not isinstance(doc, dict):
         raise InvariantViolation("certificate must be a JSON object")
@@ -236,32 +234,7 @@ def verify_certificate(doc: dict) -> str:
     if doc["size"] != len(edges):
         raise InvariantViolation("size disagrees with the edge list")
 
-    if kind in _FOUND_KINDS and len(edges) < k:
-        raise InvariantViolation(f"witness of size {len(edges)} cannot attest k={k}")
-    if kind == "interleaving":
-        if subpattern(host, edges) != canonical(PatternKind.INTERLEAVING, len(edges)):
-            raise InvariantViolation("edges do not induce a canonical interleaving")
-    elif kind == "broken_nesting":
-        side = doc.get("side")
-        if side not in ("left", "right"):
-            raise InvariantViolation(f"bad side {side!r}")
-        breaker = doc.get("breaker")
-        if not (isinstance(breaker, list) and all(map(_is_int, breaker))) or (
-            breaker != doc["edges"][0]
-        ):
-            raise InvariantViolation("breaker must be the first edge")
-        pattern = (
-            PatternKind.RIGHT_BROKEN_NESTING
-            if side == "right"
-            else PatternKind.LEFT_BROKEN_NESTING
-        )
-        if subpattern(host, edges) != canonical(pattern, len(edges)):
-            raise InvariantViolation("edges do not induce a canonical broken nesting")
-    elif kind == "proper_pin_sequence":
-        cls = classify_sequence(host, edges)
-        if not (cls.is_pin_sequence and cls.is_proper):
-            raise InvariantViolation("edges are not a proper pin sequence")
-    elif kind == "below_threshold":
+    if kind == "below_threshold":
         edge_count = doc.get("edge_count")
         if not _is_int(edge_count) or edge_count != host.n:
             raise InvariantViolation("edge_count disagrees with the host")
@@ -272,11 +245,25 @@ def verify_certificate(doc: dict) -> str:
         if len(edges) >= k:
             raise InvariantViolation("partial pin sequence is long enough to be a witness")
         if edges:
-            cls = classify_sequence(host, edges)
-            if not (cls.is_pin_sequence and cls.is_proper):
-                raise InvariantViolation("partial edges are not a proper pin sequence")
+            Witness(WitnessKind.PROPER_PIN_SEQUENCE, host, edges)
     else:
-        raise InvariantViolation(f"unknown certificate kind {kind!r}")
+        try:
+            found = WitnessKind(kind)
+        except ValueError:
+            raise InvariantViolation(f"unknown certificate kind {kind!r}") from None
+        if len(edges) < k:
+            raise InvariantViolation(f"witness of size {len(edges)} cannot attest k={k}")
+        side = None
+        if found is WitnessKind.BROKEN_NESTING:
+            if doc.get("side") not in ("left", "right"):
+                raise InvariantViolation(f"bad side {doc.get('side')!r}")
+            breaker = doc.get("breaker")
+            if not (isinstance(breaker, list) and all(map(_is_int, breaker))) or (
+                breaker != doc["edges"][0]
+            ):
+                raise InvariantViolation("breaker must be the first edge")
+            side = Side(doc["side"])
+        Witness(found, host, edges, side=side, breaker=None if side is None else edges[0])
     return f"certificate ok: {kind}, k={k}, size={len(edges)}, host with {host.n} edges"
 
 

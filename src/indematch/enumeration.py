@@ -62,9 +62,11 @@ def _host_shards(n_max: int, k: int) -> list[tuple[int, int, int]]:
 
 
 def _run_shards(worker: Callable, shards: list, jobs: int) -> list:
-    """worker over every shard, results in shard order; one pool of jobs processes if jobs > 1."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """worker over every shard, results in shard order; one pool of
+    min(jobs, len(shards)) processes when that is more than one."""
+    workers = min(jobs, len(shards))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, shards))
     return [worker(s) for s in shards]
 

@@ -25,7 +25,7 @@ from .errors import (
     SizeTooSmall,
     UnknownEdge,
 )
-from .pins import classify_sequence
+from .pins import _walk_pins
 
 
 class PatternKind(Enum):
@@ -197,8 +197,8 @@ class Witness:
             raise InvariantViolation("breaker does not occupy the breaker position")
 
     def _verify_pin_sequence(self) -> None:
-        cls = classify_sequence(self.host, self.edges)
-        if not (cls.is_pin_sequence and cls.is_proper):
+        # verify() has checked the edges already; the walk needs no more.
+        if _walk_pins(self.edges) != (True, True):
             raise InvariantViolation("edges are not a proper pin sequence")
 
 

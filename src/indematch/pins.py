@@ -11,6 +11,7 @@ touches the greatest vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import Edge, Matching, Segment, is_indecomposable
 from .errors import (
@@ -43,6 +44,23 @@ class PinSequence:
     is_right_reaching: bool
 
 
+def _walk_pins(pins: Sequence[tuple[int, int]]) -> tuple[bool, bool]:
+    """(is_pin_sequence, is_proper) of distinct host edges given as int
+    pairs, with no validation.  Each pin past the first must split cur, the
+    shadow of the pins before it; a proper one must also miss prev, the
+    shadow one pin shorter, which is the empty (0, -1) at the second pin."""
+    proper = True
+    (plo, phi), (lo, hi) = (0, -1), pins[0]
+    for a, b in pins[1:]:
+        if (lo <= a <= hi) == (lo <= b <= hi):
+            return False, False
+        if (plo <= a <= phi) != (plo <= b <= phi):
+            proper = False
+        plo, phi = lo, hi
+        lo, hi = min(lo, a), max(hi, b)
+    return True, proper
+
+
 def classify_sequence(matching: Matching, pins: tuple[Edge, ...]) -> PinSequence:
     """Decide the pin-sequence, properness and right-reaching properties.
 
@@ -59,20 +77,7 @@ def classify_sequence(matching: Matching, pins: tuple[Edge, ...]) -> PinSequence
         if e in seen:
             raise DuplicatePin(e)
         seen.add(e)
-
-    # shadows[i] covers pins[: i + 1]; prefix shadows only ever grow.
-    shadows: list[Segment] = []
-    lo, hi = pins[0]
-    for e in pins:
-        lo, hi = min(lo, e.left), max(hi, e.right)
-        shadows.append(Segment(lo, hi))
-
-    is_ps = all(
-        splits(matching, pins[i], shadows[i - 1]) for i in range(1, len(pins))
-    )
-    is_proper = is_ps and all(
-        not splits(matching, pins[i], shadows[i - 2]) for i in range(2, len(pins))
-    )
+    is_ps, is_proper = _walk_pins(pins)
     reaches = matching.top in pins[-1]
     return PinSequence(matching, pins, is_ps, is_proper, reaches)
 
@@ -192,10 +197,10 @@ def properize(matching: Matching, pins: tuple[Edge, ...]) -> PinSequence:
                         "no proper right-reaching subsequence of the pins exists"
                     )
                 chain.pop()
-    out = classify_sequence(matching, tuple(Edge(a, b) for a, b in chain))
-    if not (out.is_pin_sequence and out.is_proper and out.is_right_reaching):
+    # Right-reaching by the loop's exit; the pins came from validated input.
+    if _walk_pins(chain) != (True, True):
         raise InvariantViolation("search produced an invalid sequence")
-    return out
+    return PinSequence(matching, tuple(Edge(a, b) for a, b in chain), True, True, True)
 
 
 @dataclass(frozen=True)
@@ -227,7 +232,7 @@ def build_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
 
     Each candidate is decided by one walk over the node's pins on int
     bounds, carrying the shadows (prev, cur) of the sequence so far: every
-    pin must split cur and not split prev, as in classify_sequence.  A
+    pin must split cur and not split prev, as in _walk_pins, inlined.  A
     candidate already in the node lies inside the shadow by the time the
     walk meets it and fails the split test, so pins stay distinct.
     """

@@ -26,7 +26,6 @@ from indematch import (
     bounds,
     build_pin_tree,
     canonical,
-    classify_sequence,
     crossers,
     extract_from_crossed_edge,
     is_indecomposable,
@@ -35,6 +34,7 @@ from indematch import (
 )
 from indematch.core import _induced_partner
 from indematch.errors import (
+    DuplicatePin,
     InvariantViolation,
     NotIndecomposable,
     NotRightReaching,
@@ -197,9 +197,43 @@ def random_indecomposable(rng, n: int) -> Matching:
             return m
 
 
-# Reference versions of the witness path, built from the validated
-# classify_sequence, splits and crossers; the int kernels in pins and
-# ramsey must return exactly what these return.
+# Reference versions of the witness path, built from splits and crossers
+# and from a classify_sequence spelled out with Segment and splits; the
+# int kernels in pins and ramsey must return exactly what these return.
+
+
+def reference_classify_sequence(matching: Matching, pins: tuple[Edge, ...]) -> PinSequence:
+    """Decide the pin-sequence, properness and right-reaching properties.
+
+    The edges must be distinct edges of the matching.  Length-1 sequences
+    are proper pin sequences by convention; for length 2 the properness
+    condition is vacuous, so properness and the split condition coincide.
+    """
+    if not pins:
+        raise ValueError("a pin sequence has at least one pin")
+    seen = set()
+    for e in pins:
+        if not matching.has_edge(e):
+            raise UnknownEdge(e)
+        if e in seen:
+            raise DuplicatePin(e)
+        seen.add(e)
+
+    # shadows[i] covers pins[: i + 1]; prefix shadows only ever grow.
+    shadows: list[Segment] = []
+    lo, hi = pins[0]
+    for e in pins:
+        lo, hi = min(lo, e.left), max(hi, e.right)
+        shadows.append(Segment(lo, hi))
+
+    is_ps = all(
+        splits(matching, pins[i], shadows[i - 1]) for i in range(1, len(pins))
+    )
+    is_proper = is_ps and all(
+        not splits(matching, pins[i], shadows[i - 2]) for i in range(2, len(pins))
+    )
+    reaches = matching.top in pins[-1]
+    return PinSequence(matching, pins, is_ps, is_proper, reaches)
 
 
 def reference_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
@@ -216,7 +250,7 @@ def reference_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
             for e in matching.edges():
                 if e in node:
                     continue
-                cls = classify_sequence(matching, (e,) + node)
+                cls = reference_classify_sequence(matching, (e,) + node)
                 if cls.is_pin_sequence and cls.is_proper:
                     nodes.append((e,) + node)
                     parents.append(head)
@@ -260,7 +294,7 @@ def reference_properize(matching: Matching, pins: tuple[Edge, ...]) -> PinSequen
     emit an improper sequence even on grown input, so failed choices are
     backtracked.
     """
-    cls = classify_sequence(matching, pins)
+    cls = reference_classify_sequence(matching, pins)
     if not cls.is_pin_sequence:
         raise NotRightReaching("input is not a pin sequence")
     if not cls.is_right_reaching:
@@ -307,7 +341,7 @@ def reference_properize(matching: Matching, pins: tuple[Edge, ...]) -> PinSequen
                         "no proper right-reaching subsequence of the pins exists"
                     )
                 chain.pop()
-    out = classify_sequence(matching, tuple(Edge(a, b) for a, b in chain))
+    out = reference_classify_sequence(matching, tuple(Edge(a, b) for a, b in chain))
     if not (out.is_pin_sequence and out.is_proper and out.is_right_reaching):
         raise InvariantViolation("search produced an invalid sequence")
     return out

@@ -191,6 +191,24 @@ def test_certificate_tampering_is_rejected():
     with pytest.raises(InvariantViolation, match="interleaving"):
         verify_certificate(bad)
 
+    # Edge order and the breaker's position count too: reversed interleaving
+    # edges, and a right broken nesting led by its outermost nest edge.
+    interleaving = VALID_DOCS[0]
+    reversed_doc = dict(interleaving, edges=interleaving["edges"][::-1])
+    with pytest.raises(InvariantViolation, match="left-to-right order"):
+        verify_certificate(reversed_doc)
+    nest_host = make_matching([(5, 11), (1, 10), (2, 9), (3, 8), (4, 7), (6, 12)])
+    misplaced = dict(
+        certificate_document(witness(nest_host, 3), nest_host),
+        kind="broken_nesting",
+        side="right",
+        edges=[[1, 10], [5, 11], [2, 9]],
+        breaker=[1, 10],
+        size=3,
+    )
+    with pytest.raises(InvariantViolation, match="breaker position"):
+        verify_certificate(misplaced)
+
     with pytest.raises(InvariantViolation, match="unknown certificate kind"):
         verify_certificate(dict(doc, kind="fancy"))
 

@@ -7,6 +7,7 @@ from indematch import (
     build_pin_tree,
     canonical,
     census,
+    enumeration,
     is_indecomposable,
     make_matching,
     recurrence_counts,
@@ -66,6 +67,29 @@ def test_census_rows():
 
 def test_census_parallel_agrees():
     assert census(5, jobs=2) == census(5)
+
+
+def test_pool_never_exceeds_the_shard_count(monkeypatch):
+    # A stand-in pool: records its size, maps in this process.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
+    assert census(3, jobs=100_000) == census(3)
+    assert census(3, jobs=2) == census(3)
+    assert sizes == [5, 2]
 
 
 def test_census_validation():

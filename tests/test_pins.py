@@ -1,4 +1,5 @@
 import time
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from indematch import (
     PinSequence,
     PinTree,
     Segment,
+    all_matchings,
     build_pin_tree,
     classify_sequence,
     grow_right_reaching,
@@ -27,6 +29,7 @@ from helpers import (
     all_pin_sequences,
     count_proper_rr_sequences,
     indecomposable_matchings,
+    reference_classify_sequence,
     reference_grow_right_reaching,
     reference_pin_tree,
     reference_properize,
@@ -188,6 +191,23 @@ def test_grow_and_properize_scale_linearly_on_a_long_chain():
     assert grown == chain.edges()
     assert out.pins == grown
     assert elapsed < 10, f"grow + properize took {elapsed:.1f} s"
+
+
+def test_classify_sequence_matches_the_reference_on_every_small_tuple():
+    tuples = 0
+    for n in range(1, 6):
+        for m in all_matchings(n):
+            for length in range(1, 5):
+                for pins in permutations(m.edges(), length):
+                    tuples += 1
+                    assert classify_sequence(m, pins) == reference_classify_sequence(
+                        m, pins
+                    ), (m, pins)
+    assert tuples == 1 + 3 * 4 + 15 * 15 + 105 * 64 + 945 * 205
+    for pins in ((), (Edge(1, 2),), (Edge(3, 5), Edge(3, 5))):
+        assert outcome(classify_sequence, CHAIN, pins) == outcome(
+            reference_classify_sequence, CHAIN, pins
+        )
 
 
 def test_grow_and_properize_match_the_reference_on_every_small_host():

@@ -1,5 +1,8 @@
-"""Smoke tests: each script in scripts/ runs at a tiny size and exits 0."""
+"""Smoke tests: each script in scripts/ runs at a tiny size and exits 0,
+and every function perfbench traces still exists under its name."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -43,3 +46,15 @@ def test_pattern_gallery_writes_svgs(tmp_path):
     first = tmp_path / "interleaving_2.svg"
     assert done.stdout.splitlines()[0] == f"wrote {first}"
     assert first.read_text(encoding="utf-8").startswith("<svg")
+
+
+def test_every_traced_function_resolves():
+    # perfbench --trace 1 wraps these by name; a rename must fail here.
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, fn_name in tracing.WRAPPED:
+        module = importlib.import_module(f"indematch.{module_name}")
+        assert callable(getattr(module, fn_name, None)), (module_name, fn_name)
+    assert set(tracing.MODULES) >= {m for m, _ in tracing.WRAPPED}
+    assert callable(importlib.import_module("indematch.patterns").Witness.verify)
