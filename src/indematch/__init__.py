@@ -39,7 +39,6 @@ from .pins import (
     classify_sequence,
     grow_right_reaching,
     properize,
-    splits,
 )
 from .ramsey import (
     Bounds,
@@ -67,7 +66,6 @@ __all__ = [
     "classify_sequence",
     "grow_right_reaching",
     "properize",
-    "splits",
     "PatternKind",
     "Side",
     "Witness",

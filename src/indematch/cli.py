@@ -62,20 +62,33 @@ def parse_matching(text: str) -> Matching:
     return _parse_chord_word(text)
 
 
+# An a-b token, with both endpoints as groups, or any other run of
+# non-space text, whose groups are then empty.
+_EDGE_TOKEN = re.compile(r"(\d+)-(\d+)(?!\S)|\S+")
+
+
 def _parse_pair(token: str, pos: int) -> tuple[int, int]:
     """The endpoints of an a-b token found at 1-based offset pos."""
-    if not re.fullmatch(r"\d+-\d+", token):
+    match = _EDGE_TOKEN.fullmatch(token)
+    if match is None or match.group(1) is None:
         raise ParseError(f"expected a-b, got {token!r}", pos)
-    a, b = token.split("-")
     try:
-        return int(a), int(b)
+        return int(match.group(1)), int(match.group(2))
     except ValueError:  # past the digit limit of int(); no vertex is that large
         raise ParseError(f"vertex number too long in {token[:24]!r}...", pos) from None
 
 
 def _parse_edge_list(text: str) -> Matching:
-    # Every token parses before make_matching checks the vertex set.
-    pairs = [_parse_pair(m.group(), m.start() + 1) for m in re.finditer(r"\S+", text)]
+    # Every token parses before make_matching checks the vertex set.  A
+    # token that is not a-b yields ('', ''), so int() fails on it as on an
+    # overlong number; only then is the text walked again, token by token,
+    # to report the first bad one at its offset.
+    try:
+        pairs = [(int(a), int(b)) for a, b in _EDGE_TOKEN.findall(text)]
+    except ValueError:
+        for match in re.finditer(r"\S+", text):
+            _parse_pair(match.group(), match.start() + 1)
+        raise
     return make_matching(pairs)
 
 
@@ -349,7 +362,7 @@ def _read_certificate(path: str) -> object:
         return json.loads(raw)
     except UnicodeDecodeError as exc:
         raise InvariantViolation(f"certificate is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise InvariantViolation(f"certificate is not valid JSON: {exc}") from exc
 
 

@@ -104,7 +104,9 @@ class Matching:
         )
 
     def __str__(self) -> str:
-        return " ".join(str(e) for e in self.edges())
+        return " ".join(
+            f"{v}-{w}" for v, w in enumerate(self.partner, start=1) if v < w
+        )
 
 
 def make_matching(pairs: Iterable[Iterable[int]]) -> Matching:
@@ -112,25 +114,32 @@ def make_matching(pairs: Iterable[Iterable[int]]) -> Matching:
 
     The pairs must cover {1, ..., 2n} exactly once each.  Checks run in a
     fixed order (self loops, range, duplicates, gaps) so error messages are
-    stable for a given bad input.
+    stable for a given bad input; within an edge the smaller endpoint is
+    reported first.  The table is filled in one pass that catches
+    duplicates; the first vertex out of range is looked for only once the
+    minimum or maximum shows there is one.
     """
-    edges = [as_edge(p) for p in pairs]
-    size = 2 * len(edges)
-    for e in edges:
-        for v in e:
-            if not 1 <= v <= size:
-                raise VertexOutOfRange(v, size)
+    ends = [(a, b) for a, b in pairs]
+    for a, b in ends:
+        if a == b:
+            raise SelfLoop(a)
+    size = 2 * len(ends)
+    flat = [v for e in ends for v in e]
+    if flat and (min(flat) < 1 or max(flat) > size):
+        raise VertexOutOfRange(
+            next(v for e in ends for v in sorted(e) if not 1 <= v <= size), size
+        )
     partner = [0] * size
-    for e in edges:
-        for v, w in ((e.left, e.right), (e.right, e.left)):
-            if partner[v - 1] != 0:
-                raise DuplicateVertex(v)
-            partner[v - 1] = w
+    for a, b in ends:
+        if partner[a - 1] or partner[b - 1]:
+            first, second = sorted((a, b))
+            raise DuplicateVertex(first if partner[first - 1] else second)
+        partner[a - 1] = b
+        partner[b - 1] = a
     # Unreachable when the earlier checks pass (2n slots, 2n distinct
     # vertices in range), but kept as a guard against future edits.
-    for v in range(1, size + 1):
-        if partner[v - 1] == 0:
-            raise GapInVertexSet(v)
+    if 0 in partner:
+        raise GapInVertexSet(partner.index(0) + 1)
     return Matching(tuple(partner))
 
 

@@ -48,11 +48,6 @@ class UnknownEdge(MatchingError):
         self.edge = edge
 
 
-class EmptySegment(MatchingError):
-    def __init__(self) -> None:
-        super().__init__("operation is undefined on the empty segment")
-
-
 class DuplicatePin(MatchingError):
     def __init__(self, edge) -> None:
         super().__init__(f"pin {edge} occurs more than once in the sequence")

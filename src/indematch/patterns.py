@@ -8,14 +8,19 @@ auxiliary family; on its own it is decomposable.
 Alongside the families live the monotone-subsequence machinery used to
 extract a large pattern from the crossers of a single heavily-crossed edge,
 and exact maximizers whose only correctness contract is agreement with the
-brute-force containment search.
+brute-force containment search.  The crossers of an edge are read off the
+partner table in time linear in its span.  Longest monotone runs come from
+patience sorting (Fredman, Discrete Math. 11, 1975) in O(m log m) for m
+values, with ties going to the earliest predecessor and the earliest
+endpoint, so every extracted pattern is deterministic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import Edge, Matching, make_matching, subpattern
 from .errors import (
@@ -70,24 +75,38 @@ def canonical(kind: PatternKind, k: int) -> Matching:
     return make_matching(canonical_edges(kind, k))
 
 
-def _longest_run(
-    values: Sequence[int], precedes: Callable[[int, int], bool]
-) -> tuple[int, ...]:
-    """Indices of a longest subsequence ordered by precedes, by quadratic
-    DP.  Ties resolve to the earliest predecessor and earliest endpoint, so
-    the answer is deterministic."""
-    m = len(values)
-    length = [1] * m
-    prev = [-1] * m
-    for i in range(m):
-        for j in range(i):
-            if precedes(values[j], values[i]) and length[j] + 1 > length[i]:
-                length[i] = length[j] + 1
-                prev[i] = j
-    if m == 0:
+def _longest_run(values: Sequence[int]) -> tuple[int, ...]:
+    """Indices of a longest strictly increasing subsequence of distinct
+    values, by patience sorting in O(m log m).
+
+    Pile L holds, in index order, every index whose longest run ending
+    there has length L + 1; its values fall as its indices rise, and the
+    piles' last values rise with L.  Ties resolve to the earliest
+    predecessor and earliest endpoint: each index takes the earliest
+    qualifying index on the pile below, and the run ends at the earliest
+    index of the last pile, so the answer is deterministic.
+    """
+    tails: list[int] = []  # tails[L]: the value last put on pile L
+    piles: list[list[int]] = []  # piles[L]: negated values on pile L, ascending
+    members: list[list[int]] = []  # members[L]: indices on pile L, ascending
+    prev = [-1] * len(values)
+    for i, x in enumerate(values):
+        level = bisect_left(tails, x)
+        if level:
+            # The values below x on pile level - 1 are a suffix of it.
+            prev[i] = members[level - 1][bisect_right(piles[level - 1], -x)]
+        if level == len(tails):
+            tails.append(x)
+            piles.append([-x])
+            members.append([i])
+        else:
+            tails[level] = x
+            piles[level].append(-x)
+            members[level].append(i)
+    if not members:
         return ()
-    best = max(range(m), key=lambda i: (length[i], -i))
     out = []
+    best = members[-1][0]
     while best != -1:
         out.append(best)
         best = prev[best]
@@ -96,35 +115,34 @@ def _longest_run(
 
 def longest_monotone(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """A longest increasing and a longest decreasing subsequence, as index
-    tuples.  Values must be distinct.  One of the two has length at least
-    ceil(sqrt(len(values)))."""
+    tuples, in O(m log m) for m values.  Values must be distinct.  One of
+    the two has length at least ceil(sqrt(len(values))).  Ties go to the
+    earliest predecessor and the earliest endpoint; the decreasing run is
+    the increasing run of the negated values."""
     seen = set()
     for v in values:
         if v in seen:
             raise DuplicateValue(v)
         seen.add(v)
-    return (
-        _longest_run(values, lambda a, b: a < b),
-        _longest_run(values, lambda a, b: a > b),
-    )
+    return _longest_run(values), _longest_run([-v for v in values])
 
 
 def crossers(matching: Matching, e: Edge) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
     """Edges crossing e, split by side and sorted by left endpoint.
 
     A left crosser f straddles e.left (f.left < e.left < f.right < e.right);
-    a right crosser straddles e.right.
+    a right crosser straddles e.right.  Every crosser has exactly one
+    endpoint strictly inside e, so only those vertices of the partner table
+    are read: O(right - left), plus a sort of the left crossers.
     """
     if not matching.has_edge(e):
         raise UnknownEdge(e)
-    left = []
-    right = []
-    for f in matching.edges():
-        if f.left < e.left < f.right < e.right:
-            left.append(f)
-        elif e.left < f.left < e.right < f.right:
-            right.append(f)
-    return tuple(left), tuple(right)
+    left, right = e
+    inside = list(enumerate(matching.partner[left : right - 1], start=left + 1))
+    return (
+        tuple(sorted(Edge(p, v) for v, p in inside if p < left)),
+        tuple(Edge(v, p) for v, p in inside if p > right),
+    )
 
 
 @dataclass(frozen=True)

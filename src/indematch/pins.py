@@ -13,24 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Edge, Matching, Segment, is_indecomposable
+from .core import Edge, Matching, is_indecomposable
 from .errors import (
     DuplicatePin,
-    EmptySegment,
     InvariantViolation,
     NotIndecomposable,
     NotRightReaching,
     UnknownEdge,
 )
-
-
-def splits(matching: Matching, edge: Edge, segment: Segment | None) -> bool:
-    """True when exactly one endpoint of edge lies inside segment."""
-    if segment is None:
-        raise EmptySegment()
-    if not matching.has_edge(edge):
-        raise UnknownEdge(edge)
-    return (edge.left in segment) + (edge.right in segment) == 1
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ results must agree with them.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from hypothesis import strategies as st
 
@@ -28,18 +29,23 @@ from indematch import (
     canonical,
     crossers,
     extract_from_crossed_edge,
+    as_edge,
     is_indecomposable,
     make_matching,
-    splits,
 )
 from indematch.core import _induced_partner
 from indematch.errors import (
     DuplicatePin,
+    DuplicateVertex,
+    GapInVertexSet,
     InvariantViolation,
+    MatchingError,
     NotIndecomposable,
     NotRightReaching,
+    ParseError,
     SharedVertex,
     UnknownEdge,
+    VertexOutOfRange,
 )
 
 
@@ -95,6 +101,20 @@ def shadow(matching: Matching, edges: tuple[Edge, ...]) -> Segment | None:
         return None
     verts = [v for e in edges for v in e]
     return Segment(min(verts), max(verts))
+
+
+class EmptySegment(MatchingError):
+    def __init__(self) -> None:
+        super().__init__("operation is undefined on the empty segment")
+
+
+def splits(matching: Matching, edge: Edge, segment: Segment | None) -> bool:
+    """True when exactly one endpoint of edge lies inside segment."""
+    if segment is None:
+        raise EmptySegment()
+    if not matching.has_edge(edge):
+        raise UnknownEdge(edge)
+    return (edge.left in segment) + (edge.right in segment) == 1
 
 
 def count_proper_rr_sequences(matching: Matching) -> int:
@@ -364,3 +384,98 @@ def reference_witness(matching: Matching, k: int) -> WitnessReport:
         deepest = next(n for n in tree.nodes if len(n) == tree.max_length)
         partial = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, deepest)
     return WitnessReport(b, matching.n, None, partial)
+
+
+# Reference versions of the certificate path: the edge-list reader and
+# make_matching that built every Edge, crossers over every edge of the
+# host, and the quadratic monotone-run DP.  The partner-table and
+# patience-sorting versions in the package must return exactly what these
+# return, errors included.
+
+
+def reference_make_matching(pairs: Iterable[Iterable[int]]) -> Matching:
+    """Build a Matching from endpoint pairs, validating as we go.
+
+    The pairs must cover {1, ..., 2n} exactly once each.  Checks run in a
+    fixed order (self loops, range, duplicates, gaps) so error messages are
+    stable for a given bad input.
+    """
+    edges = [as_edge(p) for p in pairs]
+    size = 2 * len(edges)
+    for e in edges:
+        for v in e:
+            if not 1 <= v <= size:
+                raise VertexOutOfRange(v, size)
+    partner = [0] * size
+    for e in edges:
+        for v, w in ((e.left, e.right), (e.right, e.left)):
+            if partner[v - 1] != 0:
+                raise DuplicateVertex(v)
+            partner[v - 1] = w
+    # Unreachable when the earlier checks pass (2n slots, 2n distinct
+    # vertices in range), but kept as a guard against future edits.
+    for v in range(1, size + 1):
+        if partner[v - 1] == 0:
+            raise GapInVertexSet(v)
+    return Matching(tuple(partner))
+
+
+def _reference_parse_pair(token: str, pos: int) -> tuple[int, int]:
+    """The endpoints of an a-b token found at 1-based offset pos."""
+    if not re.fullmatch(r"\d+-\d+", token):
+        raise ParseError(f"expected a-b, got {token!r}", pos)
+    a, b = token.split("-")
+    try:
+        return int(a), int(b)
+    except ValueError:  # past the digit limit of int(); no vertex is that large
+        raise ParseError(f"vertex number too long in {token[:24]!r}...", pos) from None
+
+
+def reference_parse_edge_list(text: str) -> Matching:
+    # Every token parses before make_matching checks the vertex set.
+    pairs = [
+        _reference_parse_pair(m.group(), m.start() + 1) for m in re.finditer(r"\S+", text)
+    ]
+    return reference_make_matching(pairs)
+
+
+def reference_crossers(matching: Matching, e: Edge) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+    """Edges crossing e, split by side and sorted by left endpoint.
+
+    A left crosser f straddles e.left (f.left < e.left < f.right < e.right);
+    a right crosser straddles e.right.
+    """
+    if not matching.has_edge(e):
+        raise UnknownEdge(e)
+    left = []
+    right = []
+    for f in matching.edges():
+        if f.left < e.left < f.right < e.right:
+            left.append(f)
+        elif e.left < f.left < e.right < f.right:
+            right.append(f)
+    return tuple(left), tuple(right)
+
+
+def reference_longest_run(
+    values: Sequence[int], precedes: Callable[[int, int], bool]
+) -> tuple[int, ...]:
+    """Indices of a longest subsequence ordered by precedes, by quadratic
+    DP.  Ties resolve to the earliest predecessor and earliest endpoint, so
+    the answer is deterministic."""
+    m = len(values)
+    length = [1] * m
+    prev = [-1] * m
+    for i in range(m):
+        for j in range(i):
+            if precedes(values[j], values[i]) and length[j] + 1 > length[i]:
+                length[i] = length[j] + 1
+                prev[i] = j
+    if m == 0:
+        return ()
+    best = max(range(m), key=lambda i: (length[i], -i))
+    out = []
+    while best != -1:
+        out.append(best)
+        best = prev[best]
+    return tuple(reversed(out))

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from indematch import (
@@ -35,7 +35,7 @@ from indematch.errors import (
 
 from indematch.ramsey import K_CAP
 
-from helpers import matchings
+from helpers import matchings, reference_parse_edge_list
 
 CHAIN = make_matching([(3, 5), (4, 7), (1, 6), (2, 8)])
 INT4 = canonical(PatternKind.INTERLEAVING, 4)
@@ -88,6 +88,37 @@ def test_parse_refuses_overlong_vertex_numbers():
     assert exc.value.position == 5
     assert main(["check", "1-" + "9" * 5000]) == 1
     assert main(["pins", "1-3 2-4", "--start", "1-" + "9" * 5000]) == 1
+
+
+def _parse_outcome(parse, text):
+    """The Matching parsed, or the type, text and offset of the error."""
+    try:
+        return parse(text)
+    except MatchingError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+EDGE_TEXT_PIECES = st.sampled_from(
+    ["1", "2", "3", "4", "12", "0", "-", " ", "  ", "\t", "\n", "\u00a0", "x", "\u0663",
+     "9" * 4301]
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.one_of(
+        st.lists(EDGE_TEXT_PIECES, max_size=14).map("".join),
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=6).map(
+            lambda pairs: " ".join(f"{a}-{b}" for a, b in pairs)
+        ),
+        matchings(min_n=1, max_n=8).map(str),
+    )
+)
+def test_parse_matching_matches_the_reference_on_fuzzed_edge_lists(text):
+    assume("-" in text and text.strip())
+    assert _parse_outcome(parse_matching, text) == _parse_outcome(
+        reference_parse_edge_list, text
+    )
 
 
 def test_parse_semantic_errors_are_not_parse_errors():
@@ -471,7 +502,11 @@ def test_cli_rejects_undecodable_and_non_json_certificates(capsys, tmp_path):
     utf16.write_bytes(b"\xff\xfe{\x00}\x00")
     text = tmp_path / "text.json"
     text.write_text("not a certificate", encoding="utf-8")
-    for path, reason in ((utf16, "not UTF-8"), (text, "not valid JSON")):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"x": ' + "9" * 5000 + "}", encoding="utf-8")
+    for path, reason in (
+        (utf16, "not UTF-8"), (text, "not valid JSON"), (huge, "not valid JSON"),
+    ):
         for argv in (["verify-cert", str(path)], ["render", "1-3 2-4", "--witness", str(path)]):
             assert main(argv) == 1
             err = capsys.readouterr().err

@@ -189,7 +189,7 @@ def test_public_surface_resolves_and_omits_test_oracles():
         assert hasattr(indematch, name), name
     demoted = {
         "contains", "reverse", "Relation", "edge_relation", "crossing",
-        "shadow", "count_proper_rr_sequences",
+        "shadow", "count_proper_rr_sequences", "splits", "EmptySegment",
     }
     assert not demoted & set(indematch.__all__)
     assert not any(hasattr(indematch, name) for name in demoted)

@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from indematch import (
     Side,
     Witness,
     WitnessKind,
+    all_matchings,
     canonical,
     canonical_edges,
     crossers,
@@ -28,7 +31,14 @@ from indematch.errors import (
     UnknownEdge,
 )
 
-from helpers import matchings, oracle_increasing_length, oracle_max_size, reverse
+from helpers import (
+    matchings,
+    oracle_increasing_length,
+    oracle_max_size,
+    reference_crossers,
+    reference_longest_run,
+    reverse,
+)
 
 INT4 = canonical(PatternKind.INTERLEAVING, 4)
 RBN4 = canonical(PatternKind.RIGHT_BROKEN_NESTING, 4)
@@ -107,6 +117,50 @@ def test_monotone_guarantee_at_erdos_szekeres_scale():
             values = rng.sample(range(10 * need), need)
             incr, decr = longest_monotone(values)
             assert max(len(incr), len(decr)) >= k
+
+
+def _reference_monotone(values):
+    return (
+        reference_longest_run(values, lambda a, b: a < b),
+        reference_longest_run(values, lambda a, b: a > b),
+    )
+
+
+def test_longest_monotone_matches_the_reference_on_every_small_permutation():
+    for m in range(8):
+        for values in permutations(range(m)):
+            assert longest_monotone(values) == _reference_monotone(values), values
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 300).flatmap(lambda m: st.permutations(range(m))))
+def test_longest_monotone_matches_the_reference_on_long_lists(values):
+    assert longest_monotone(values) == _reference_monotone(values)
+
+
+def test_longest_monotone_scales_to_long_inputs():
+    values = list(range(20_000))
+    random.Random(20261018).shuffle(values)
+    start = time.perf_counter()
+    incr, decr = longest_monotone(values)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"longest_monotone on 20,000 values took {elapsed:.2f} s"
+    assert all(values[i] < values[j] for i, j in zip(incr, incr[1:]))
+    assert all(values[i] > values[j] for i, j in zip(decr, decr[1:]))
+
+
+def test_crossers_match_the_reference_on_every_small_host():
+    for n in range(1, 7):
+        for m in all_matchings(n):
+            for e in m.edges():
+                assert crossers(m, e) == reference_crossers(m, e), (m, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matchings(min_n=1, max_n=40))
+def test_crossers_match_the_reference_on_larger_hosts(m):
+    for e in m.edges():
+        assert crossers(m, e) == reference_crossers(m, e)
 
 
 def test_crossers():

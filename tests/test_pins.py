@@ -15,17 +15,16 @@ from indematch import (
     grow_right_reaching,
     make_matching,
     properize,
-    splits,
 )
 from indematch.errors import (
     DuplicatePin,
-    EmptySegment,
     NotIndecomposable,
     NotRightReaching,
     UnknownEdge,
 )
 
 from helpers import (
+    EmptySegment,
     all_pin_sequences,
     count_proper_rr_sequences,
     indecomposable_matchings,
@@ -35,6 +34,7 @@ from helpers import (
     reference_properize,
     shadow,
     small_indecomposables,
+    splits,
 )
 
 CHAIN = make_matching([(3, 5), (4, 7), (1, 6), (2, 8)])
