@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .core import Edge, Matching, make_matching, subpattern
+from .core import Edge, Matching, make_matching
 from .errors import (
     DuplicateValue,
     InsufficientCrossers,
@@ -154,7 +154,9 @@ class Witness:
     edges are in semantic order: interleavings left to right; broken
     nestings breaker first, then the nest outermost to innermost; pin
     sequences in pin order.  side and breaker are set exactly for broken
-    nestings.
+    nestings.  Interleavings and broken nestings are checked by ranking
+    the endpoints onto [2k]: the ranked edges, in the order given, must
+    equal canonical_edges.  Pin sequences are checked by the pin walk.
     """
 
     kind: WitnessKind
@@ -179,45 +181,24 @@ class Witness:
             if not self.host.has_edge(e):
                 raise UnknownEdge(e)
         if self.kind is WitnessKind.BROKEN_NESTING:
-            self._verify_broken_nesting()
+            if self.side is None or self.breaker is None:
+                raise InvariantViolation("broken-nesting witness lacks side or breaker")
+            if self.breaker != self.edges[0]:
+                raise InvariantViolation("breaker is not the leading witness edge")
+            pattern = PatternKind(f"{self.side.value}_broken_nesting")
+            order = "order: the breaker position, then the nest outermost first"
         elif self.side is not None or self.breaker is not None:
             raise InvariantViolation(f"{self.kind.value} witness carries breaker data")
         elif self.kind is WitnessKind.INTERLEAVING:
-            self._verify_interleaving()
+            pattern, order = PatternKind.INTERLEAVING, "left-to-right order"
         else:
-            self._verify_pin_sequence()
-
-    def _verify_interleaving(self) -> None:
-        if any(a.left >= b.left for a, b in zip(self.edges, self.edges[1:])):
-            raise InvariantViolation("interleaving edges not in left-to-right order")
-        if subpattern(self.host, self.edges) != canonical(
-            PatternKind.INTERLEAVING, self.size
-        ):
-            raise InvariantViolation("edges do not induce a canonical interleaving")
-
-    def _verify_broken_nesting(self) -> None:
-        if self.side is None or self.breaker is None:
-            raise InvariantViolation("broken-nesting witness lacks side or breaker")
-        if self.breaker != self.edges[0]:
-            raise InvariantViolation("breaker is not the leading witness edge")
-        kind = (
-            PatternKind.RIGHT_BROKEN_NESTING
-            if self.side is Side.RIGHT
-            else PatternKind.LEFT_BROKEN_NESTING
-        )
-        if subpattern(self.host, self.edges) != canonical(kind, self.size):
-            raise InvariantViolation("edges do not induce a canonical broken nesting")
-        # The breaker itself must land on the canonical breaker position.
-        verts = sorted(v for e in self.edges for v in e)
-        rank = {v: i + 1 for i, v in enumerate(verts)}
-        want = (self.size, 2 * self.size) if self.side is Side.RIGHT else (1, self.size + 1)
-        if (rank[self.breaker.left], rank[self.breaker.right]) != want:
-            raise InvariantViolation("breaker does not occupy the breaker position")
-
-    def _verify_pin_sequence(self) -> None:
-        # verify() has checked the edges already; the walk needs no more.
-        if _walk_pins(self.edges) != (True, True):
-            raise InvariantViolation("edges are not a proper pin sequence")
+            if _walk_pins(self.edges) != (True, True):
+                raise InvariantViolation("edges are not a proper pin sequence")
+            return
+        rank = {v: i for i, v in enumerate(sorted(v for e in self.edges for v in e), 1)}
+        if tuple((rank[a], rank[b]) for a, b in self.edges) != canonical_edges(pattern, self.size):
+            name = pattern.value.replace("_", " ")
+            raise InvariantViolation(f"edges are not a canonical {name} in {order}")
 
 
 def extract_from_crossed_edge(matching: Matching, e: Edge, k: int) -> Witness:

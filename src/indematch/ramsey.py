@@ -195,7 +195,9 @@ def verify_theorem(n_max: int, k: int, *, jobs: int = 1) -> TheoremReport:
     if n_max < 1:
         raise SizeTooSmall(n_max, 1, "n_max")
     if n_max > EXHAUSTIVE_CAP:
-        raise SizeCapExceeded(n_max, EXHAUSTIVE_CAP)
+        raise SizeCapExceeded(
+            n_max, EXHAUSTIVE_CAP, f"n={n_max} exceeds the exhaustive cap of {EXHAUSTIVE_CAP}"
+        )
     bounds(k)
     total: Counter[str] = Counter()
     failures: list[str] = []

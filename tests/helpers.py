@@ -20,6 +20,7 @@ from indematch import (
     PinSequence,
     PinTree,
     Segment,
+    Side,
     Witness,
     WitnessKind,
     WitnessReport,
@@ -32,6 +33,7 @@ from indematch import (
     as_edge,
     is_indecomposable,
     make_matching,
+    subpattern,
 )
 from indematch.core import _induced_partner
 from indematch.errors import (
@@ -47,6 +49,7 @@ from indematch.errors import (
     UnknownEdge,
     VertexOutOfRange,
 )
+from indematch.pins import _walk_pins
 
 
 class Relation(Enum):
@@ -479,3 +482,51 @@ def reference_longest_run(
         out.append(best)
         best = prev[best]
     return tuple(reversed(out))
+
+
+def reference_witness_verify(
+    kind: WitnessKind,
+    host: Matching,
+    edges: tuple[Edge, ...],
+    side: Side | None = None,
+    breaker: Edge | None = None,
+) -> None:
+    """Witness.verify as it was before the one canonical_edges check: an
+    order loop and a subpattern-vs-canonical comparison for interleavings,
+    the same comparison plus a rank map for the breaker for broken
+    nestings.  It does not check the order of a broken nesting's nest."""
+    size = len(edges)
+    if not edges:
+        raise InvariantViolation("witness has no edges")
+    if len(set(edges)) != len(edges):
+        raise InvariantViolation("witness repeats an edge")
+    for e in edges:
+        if not host.has_edge(e):
+            raise UnknownEdge(e)
+    if kind is WitnessKind.BROKEN_NESTING:
+        if side is None or breaker is None:
+            raise InvariantViolation("broken-nesting witness lacks side or breaker")
+        if breaker != edges[0]:
+            raise InvariantViolation("breaker is not the leading witness edge")
+        pattern = (
+            PatternKind.RIGHT_BROKEN_NESTING
+            if side is Side.RIGHT
+            else PatternKind.LEFT_BROKEN_NESTING
+        )
+        if subpattern(host, edges) != canonical(pattern, size):
+            raise InvariantViolation("edges do not induce a canonical broken nesting")
+        # The breaker itself must land on the canonical breaker position.
+        verts = sorted(v for e in edges for v in e)
+        rank = {v: i + 1 for i, v in enumerate(verts)}
+        want = (size, 2 * size) if side is Side.RIGHT else (1, size + 1)
+        if (rank[breaker.left], rank[breaker.right]) != want:
+            raise InvariantViolation("breaker does not occupy the breaker position")
+    elif side is not None or breaker is not None:
+        raise InvariantViolation(f"{kind.value} witness carries breaker data")
+    elif kind is WitnessKind.INTERLEAVING:
+        if any(a.left >= b.left for a, b in zip(edges, edges[1:])):
+            raise InvariantViolation("interleaving edges not in left-to-right order")
+        if subpattern(host, edges) != canonical(PatternKind.INTERLEAVING, size):
+            raise InvariantViolation("edges do not induce a canonical interleaving")
+    elif _walk_pins(edges) != (True, True):
+        raise InvariantViolation("edges are not a proper pin sequence")

@@ -240,6 +240,13 @@ def test_certificate_tampering_is_rejected():
     with pytest.raises(InvariantViolation, match="breaker position"):
         verify_certificate(misplaced)
 
+    # The right edges with the nest innermost first.
+    rbn12 = canonical(PatternKind.RIGHT_BROKEN_NESTING, 12)
+    nested = certificate_document(witness(rbn12, 3), rbn12)
+    assert nested["edges"] == [[12, 24], [10, 14], [11, 13]]
+    with pytest.raises(InvariantViolation, match="nest outermost first"):
+        verify_certificate(dict(nested, edges=[[12, 24], [11, 13], [10, 14]]))
+
     with pytest.raises(InvariantViolation, match="unknown certificate kind"):
         verify_certificate(dict(doc, kind="fancy"))
 
@@ -504,8 +511,11 @@ def test_cli_rejects_undecodable_and_non_json_certificates(capsys, tmp_path):
     text.write_text("not a certificate", encoding="utf-8")
     huge = tmp_path / "huge.json"
     huge.write_text('{"x": ' + "9" * 5000 + "}", encoding="utf-8")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
     for path, reason in (
         (utf16, "not UTF-8"), (text, "not valid JSON"), (huge, "not valid JSON"),
+        (deep, "not valid JSON"),
     ):
         for argv in (["verify-cert", str(path)], ["render", "1-3 2-4", "--witness", str(path)]):
             assert main(argv) == 1
@@ -519,6 +529,15 @@ def test_cli_refuses_k_past_the_cap(capsys):
     assert main(["witness", "-k", "800", "1-3 2-4"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: k=800 exceeds the cap") and err.count("\n") == 1
+
+
+def test_cli_refuses_n_past_the_exhaustive_cap(capsys):
+    assert main(["verify", "-n", "2", "-k", "2"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "-n", "9", "-k", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=9 exceeds the exhaustive cap of 8")
+    assert err.count("\n") == 1 and "allow_large" not in err
 
 
 JSON_VALUES = st.recursive(

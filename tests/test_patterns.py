@@ -27,6 +27,7 @@ from indematch.errors import (
     DuplicateValue,
     InsufficientCrossers,
     InvariantViolation,
+    MatchingError,
     SizeTooSmall,
     UnknownEdge,
 )
@@ -37,6 +38,7 @@ from helpers import (
     oracle_max_size,
     reference_crossers,
     reference_longest_run,
+    reference_witness_verify,
     reverse,
 )
 
@@ -233,6 +235,92 @@ def test_witness_rejects_invalid_certificates():
             INT4,
             (Edge(1, 5), Edge(4, 8), Edge(2, 6)),
         )
+    # The nest runs innermost first: the right edges, in the wrong order.
+    with pytest.raises(InvariantViolation, match="nest outermost first"):
+        Witness(
+            WitnessKind.BROKEN_NESTING,
+            RBN4,
+            (Edge(4, 8), Edge(3, 5), Edge(2, 6), Edge(1, 7)),
+            side=Side.RIGHT,
+            breaker=Edge(4, 8),
+        )
+
+
+# Each claim a tuple can be checked as, with the pattern max_pattern finds.
+CLAIMS = (
+    (WitnessKind.INTERLEAVING, None, PatternKind.INTERLEAVING),
+    (WitnessKind.BROKEN_NESTING, Side.LEFT, PatternKind.LEFT_BROKEN_NESTING),
+    (WitnessKind.BROKEN_NESTING, Side.RIGHT, PatternKind.RIGHT_BROKEN_NESTING),
+)
+
+
+def _accepts(check, kind, host, edges, side) -> bool:
+    breaker = edges[0] if side is not None else None
+    try:
+        check(kind, host, edges, side=side, breaker=breaker)
+    except MatchingError:
+        return False
+    return True
+
+
+def _nest_outermost_first(kind, edges) -> bool:
+    nest = edges[1:] if kind is WitnessKind.BROKEN_NESTING else ()
+    return all(a.left < b.left and b.right < a.right for a, b in zip(nest, nest[1:]))
+
+
+def _agrees_with_reference(host, edges) -> None:
+    for kind, side, _ in CLAIMS:
+        new = _accepts(Witness, kind, host, edges, side)
+        old = _accepts(reference_witness_verify, kind, host, edges, side)
+        assert new == (old and _nest_outermost_first(kind, edges)), (
+            str(host), edges, kind, side,
+        )
+
+
+def test_witness_matches_the_reference_on_every_small_tuple():
+    # Every ordered tuple of 2-4 edges of every matching with n <= 4, as
+    # each claim: the rank check accepts exactly what the old subpattern
+    # check accepted with the nest outermost first.
+    for n in range(2, 5):
+        for m in all_matchings(n):
+            for size in range(2, n + 1):
+                for edges in permutations(m.edges(), size):
+                    _agrees_with_reference(m, edges)
+
+
+@st.composite
+def _hosts_with_tuples(draw):
+    m = draw(matchings(min_n=2, max_n=10))
+    edges = draw(
+        st.lists(st.sampled_from(m.edges()), min_size=2, max_size=min(4, m.n), unique=True)
+    )
+    # Sorting puts an interleaving or a nest in semantic order, so that
+    # valid claims come up often.
+    order = draw(st.sampled_from(("drawn", "sorted", "breaker first")))
+    if order == "sorted":
+        edges = sorted(edges)
+    elif order == "breaker first":
+        edges = edges[:1] + sorted(edges[1:])
+    return m, tuple(edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hosts_with_tuples())
+def test_witness_matches_the_reference_on_larger_hosts(case):
+    _agrees_with_reference(*case)
+
+
+def test_every_max_pattern_result_builds_a_witness():
+    built = 0
+    for n in range(1, 7):
+        for m in all_matchings(n):
+            for kind, side, pattern in CLAIMS:
+                size, edges = max_pattern(m, pattern)
+                if size:
+                    breaker = edges[0] if side is not None else None
+                    Witness(kind, m, edges, side=side, breaker=breaker)
+                    built += 1
+    assert built == 34_000
 
 
 def test_extract_interleaving():
