@@ -11,10 +11,12 @@ is visible at a glance.
 from __future__ import annotations
 
 import argparse
+import sys
 from dataclasses import dataclass
 
 from indematch import bounds, scan_avoiders
 from indematch.cli import format_matching
+from indematch.errors import MatchingError
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,12 @@ def parse_args(argv: list[str] | None = None) -> Config:
 def main(argv: list[str] | None = None) -> int:
     cfg = parse_args(argv)
     for k in cfg.k_values:
-        b = bounds(k)
-        report = scan_avoiders(cfg.n_max, k, jobs=cfg.jobs, allow_large=cfg.allow_large)
+        try:
+            b = bounds(k)
+            report = scan_avoiders(cfg.n_max, k, jobs=cfg.jobs, allow_large=cfg.allow_large)
+        except MatchingError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"k={k}: tree bound {b.tree_bound}, stated bound {b.stated}")
         for n in range(1, cfg.n_max + 1):
             count = report.counts.get(n, 0)

@@ -8,10 +8,12 @@ practical and parallel shards start paying off.
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from dataclasses import dataclass
 
-from indematch import census
+from indematch import census, check_census
+from indematch.errors import MatchingError
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,11 @@ def parse_args(argv: list[str] | None = None) -> Config:
 
 def main(argv: list[str] | None = None) -> int:
     cfg = parse_args(argv)
+    try:
+        check_census(cfg.n_max, jobs=cfg.jobs, allow_large=cfg.allow_large)
+    except MatchingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if cfg.markdown:
         print("| n | total | indecomposable | recurrence | match | seconds |")
         print("|--:|--:|--:|--:|:--|--:|")

@@ -23,7 +23,7 @@ from .core import (
     is_indecomposable,
     make_matching,
 )
-from .enumeration import census, scan_avoiders
+from .enumeration import census, check_census, scan_avoiders
 from .errors import (
     EmptyMatching,
     InvariantViolation,
@@ -435,6 +435,7 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    check_census(args.n, jobs=args.jobs, allow_large=args.allow_large)
     print(f"{'n':>2}  {'total':>12}  {'indecomposable':>14}  {'recurrence':>12}  match")
     for n in range(1, args.n + 1):
         row = census(n, jobs=args.jobs, allow_large=args.allow_large)

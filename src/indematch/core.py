@@ -167,12 +167,13 @@ def find_intervals(matching: Matching) -> tuple[Segment, ...]:
     return tuple(found)
 
 
-def _is_indecomposable_partner(partner: tuple[int, ...]) -> bool:
-    """find_intervals on a raw partner table, stopping at the first hit.
+def is_indecomposable(matching: Matching) -> bool:
+    """True when the matching has no nontrivial interval.
 
-    Split out so enumeration can test candidates without building Matching
-    objects.
+    The empty matching and the single edge are indecomposable by convention.
+    This is find_intervals' sweep, stopping at the first hit.
     """
+    partner = matching.partner
     m = len(partner)
     for lo in range(1, m + 1):
         reach = lo
@@ -185,14 +186,6 @@ def _is_indecomposable_partner(partner: tuple[int, ...]) -> bool:
             if hi > lo and reach <= hi and not (lo == 1 and hi == m):
                 return False
     return True
-
-
-def is_indecomposable(matching: Matching) -> bool:
-    """True when the matching has no nontrivial interval.
-
-    The empty matching and the single edge are indecomposable by convention.
-    """
-    return _is_indecomposable_partner(matching.partner)
 
 
 def _induced_partner(subset: tuple[Edge, ...]) -> tuple[int, ...]:

@@ -6,6 +6,25 @@ each possible partner in increasing order, then the rest of the vertex set
 is matched recursively the same way.  That order equals lexicographic order
 of the partner tables, and fixing the partner of vertex 1 splits the stream
 into 2n - 1 independent shards for parallel scans.
+
+The stream decides indecomposability as it completes each table.  For a
+cut c (0 <= c <= 2n), X(c) is the set of edges with exactly one endpoint
+<= c, and the signature S(c), the XOR of 1 << (left endpoint of its edge)
+over the vertices <= c, is the bitmask of X(c).  A run [lo, hi] is closed
+under the matching exactly when X(lo - 1) = X(hi): an edge inside the run
+is in neither set, an edge that straddles it is in both, and an edge with
+one endpoint inside is in exactly one.  So every repeated signature is a
+closed interval and every closed interval is a repeat, and a matching is
+indecomposable iff S(0), ..., S(2n - 1) are pairwise distinct (S(2n) =
+S(0) = 0 is the whole vertex set).  |X| changes parity at every step, so
+equal signatures are at least two cuts apart: a repeat is never a single
+vertex.
+
+All vertices below the smallest free vertex are matched, so their cuts are
+final.  Each pairing extends S over the cuts it finishes and looks each one
+up in the set of earlier signatures, undoing its additions on backtrack.
+Once a signature repeats, the branch stops its signature work but still
+completes and yields every table below it.
 """
 
 from __future__ import annotations
@@ -13,9 +32,9 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .core import Matching, _is_indecomposable_partner
+from .core import Matching
 from .errors import SizeCapExceeded, SizeTooSmall
 from .patterns import PatternKind, max_pattern
 from .pins import build_pin_tree
@@ -25,29 +44,81 @@ from .pins import build_pin_tree
 SOFT_CAP = 9
 
 
-def _fill(partner: list[int], free: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    if not free:
-        yield tuple(partner)
-        return
+def _complete(
+    partner: list[int],
+    free: tuple[int, ...],
+    choices: Iterable[int],
+    s: int,
+    seen: set[int],
+    plain: bool,
+) -> Iterator[tuple[int, ...] | None]:
+    """Complete partner in place over the free vertices (ascending),
+    pairing free[0] with free[i] for each i in choices in turn.
+
+    s is S(free[0] - 1), or -1 once a signature has repeated (or when no
+    signature is tracked); seen holds the earlier signatures.  A finished
+    table comes out as a tuple, or as None when a signature repeated and
+    plain is off.  The last two free vertices are paired inline.
+    """
+    m = len(partner)
     a = free[0]
-    for i in range(1, len(free)):
+    for i in choices:
         b = free[i]
         partner[a - 1] = b
         partner[b - 1] = a
-        yield from _fill(partner, free[1:i] + free[i + 1 :])
+        rest = free[1:i] + free[i + 1 :]
+        t = s
+        if t >= 0:
+            # Cut a sets bit a, which no earlier signature holds.  The cuts
+            # after it, up to the next free vertex, are right endpoints: each
+            # clears a bit, so they differ from each other and from S(a).
+            t |= 1 << a
+            added = [t]
+            for v in range(a + 1, rest[0] if rest else m):
+                t ^= 1 << partner[v - 1]
+                if t in seen:
+                    t = -1
+                    break
+                added.append(t)
+        if len(rest) > 2:
+            if t >= 0:
+                seen.update(added)
+            yield from _complete(partner, rest, range(1, len(rest)), t, seen, plain)
+            if t >= 0:
+                seen.difference_update(added)
+            continue
+        if rest:
+            # The forced last pair: its cuts are checked against seen and
+            # against this pairing's cuts, which stay out of seen.
+            c, d = rest
+            partner[c - 1] = d
+            partner[d - 1] = c
+            if t >= 0:
+                t |= 1 << c
+                for v in range(c + 1, m):
+                    t ^= 1 << partner[v - 1]
+                    if t in seen or t in added:
+                        t = -1
+                        break
+        yield tuple(partner) if t >= 0 or plain else None
 
 
-def _iter_partner_tuples(n: int) -> Iterator[tuple[int, ...]]:
-    yield from _fill([0] * (2 * n), tuple(range(1, 2 * n + 1)))
+def _partner_tables(
+    n: int, first_partner: int | None = None, *, decide: bool = True
+) -> Iterator[tuple[int, ...] | None]:
+    """Every partner table on [2n] in canonical order, or with first_partner
+    the shard that pairs vertex 1 with it.
 
-
-def _iter_partner_tuples_shard(n: int, first_partner: int) -> Iterator[tuple[int, ...]]:
-    """The sub-stream with vertex 1 paired to first_partner."""
-    partner = [0] * (2 * n)
-    partner[0] = first_partner
-    partner[first_partner - 1] = 1
-    rest = tuple(v for v in range(2, 2 * n + 1) if v != first_partner)
-    yield from _fill(partner, rest)
+    With decide, a decomposable table comes out as None: it is still
+    completed and yielded, so the count of items is the count of tables.
+    Without, every table comes out as a tuple and no signature is tracked.
+    """
+    m = 2 * n
+    if m == 0:
+        return iter([()])
+    choices = range(1, m) if first_partner is None else (first_partner - 1,)
+    free = tuple(range(1, m + 1))
+    return _complete([0] * m, free, choices, 0 if decide else -1, {0}, not decide)
 
 
 def _host_shards(n_max: int, k: int) -> list[tuple[int, int, int]]:
@@ -64,6 +135,8 @@ def _host_shards(n_max: int, k: int) -> list[tuple[int, int, int]]:
 def _run_shards(worker: Callable, shards: list, jobs: int) -> list:
     """worker over every shard, results in shard order; one pool of
     min(jobs, len(shards)) processes when that is more than one."""
+    if jobs < 1:
+        raise SizeTooSmall(jobs, 1, "jobs")
     workers = min(jobs, len(shards))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -90,7 +163,7 @@ def all_matchings(n: int, *, allow_large: bool = False) -> Iterator[Matching]:
     The cap is checked eagerly, before the first item is drawn.
     """
     _check_cap(n, allow_large)
-    return (Matching(partner) for partner in _iter_partner_tuples(n))
+    return (Matching(partner) for partner in _partner_tables(n, decide=False))
 
 
 def recurrence_counts(n_max: int) -> tuple[int, ...]:
@@ -123,11 +196,23 @@ def _census_shard(args: tuple[int, int]) -> tuple[int, int]:
     n, first_partner = args
     total = 0
     indec = 0
-    for partner in _iter_partner_tuples_shard(n, first_partner):
+    for partner in _partner_tables(n, first_partner):
         total += 1
-        if _is_indecomposable_partner(partner):
+        if partner is not None:
             indec += 1
     return total, indec
+
+
+def check_census(n: int, *, jobs: int = 1, allow_large: bool = False) -> None:
+    """Raise what census(n, jobs=jobs, allow_large=allow_large) raises on
+    its arguments, without streaming: a table of rows 1..n checks its last
+    row before printing the first."""
+    if n < 1:
+        raise SizeTooSmall(n, 1, "n")
+    if jobs < 1:
+        raise SizeTooSmall(jobs, 1, "jobs")
+    if n > SOFT_CAP and not allow_large:
+        raise SizeCapExceeded(n, SOFT_CAP)
 
 
 def census(n: int, *, jobs: int = 1, allow_large: bool = False) -> CensusRow:
@@ -137,8 +222,7 @@ def census(n: int, *, jobs: int = 1, allow_large: bool = False) -> CensusRow:
     recurrence's prediction, and matches_recurrence reports agreement
     rather than assuming it.
     """
-    if n < 1:
-        raise SizeTooSmall(n, 1, "n")
+    check_census(n, jobs=jobs, allow_large=allow_large)
     _check_cap(n, allow_large)
     parts = _run_shards(_census_shard, [(n, fp) for fp in range(2, 2 * n + 1)], jobs)
     total = sum(p[0] for p in parts)
@@ -186,10 +270,8 @@ def _scan_shard(args: tuple[int, int, int]) -> tuple[int, tuple[int, ...] | None
     n, first_partner, k = args
     count = 0
     example = None
-    for partner in _iter_partner_tuples_shard(n, first_partner):
-        if not _is_indecomposable_partner(partner):
-            continue
-        if _is_avoider_partner(partner, k):
+    for partner in _partner_tables(n, first_partner):
+        if partner is not None and _is_avoider_partner(partner, k):
             count += 1
             if example is None:
                 example = partner

@@ -16,8 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import Edge, Matching, _is_indecomposable_partner, is_indecomposable
-from .enumeration import _host_shards, _iter_partner_tuples_shard, _run_shards
+from .core import Edge, Matching, is_indecomposable
+from .enumeration import _host_shards, _partner_tables, _run_shards
 from .errors import (
     InvariantViolation,
     MatchingError,
@@ -165,8 +165,8 @@ def _verify_shard(args: tuple[int, int, int]) -> tuple[Counter[str], list[str]]:
     n, first_partner, k = args
     tally: Counter[str] = Counter()
     failures: list[str] = []
-    for partner in _iter_partner_tuples_shard(n, first_partner):
-        if not _is_indecomposable_partner(partner):
+    for partner in _partner_tables(n, first_partner):
+        if partner is None:
             continue
         matching = Matching(partner)
         tally["checked"] += 1

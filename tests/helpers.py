@@ -530,3 +530,49 @@ def reference_witness_verify(
             raise InvariantViolation("edges do not induce a canonical interleaving")
     elif _walk_pins(edges) != (True, True):
         raise InvariantViolation("edges are not a proper pin sequence")
+
+
+# The partner stream and the interval sweep as they were before the stream
+# decided indecomposability itself: a recursive generator over the free
+# tuple, then a from-scratch sweep of every finished table.
+
+
+def reference_fill(partner: list[int], free: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    if not free:
+        yield tuple(partner)
+        return
+    a = free[0]
+    for i in range(1, len(free)):
+        b = free[i]
+        partner[a - 1] = b
+        partner[b - 1] = a
+        yield from reference_fill(partner, free[1:i] + free[i + 1 :])
+
+
+def reference_partner_tuples(n: int) -> Iterator[tuple[int, ...]]:
+    yield from reference_fill([0] * (2 * n), tuple(range(1, 2 * n + 1)))
+
+
+def reference_partner_tuples_shard(n: int, first_partner: int) -> Iterator[tuple[int, ...]]:
+    """The sub-stream with vertex 1 paired to first_partner."""
+    partner = [0] * (2 * n)
+    partner[0] = first_partner
+    partner[first_partner - 1] = 1
+    rest = tuple(v for v in range(2, 2 * n + 1) if v != first_partner)
+    yield from reference_fill(partner, rest)
+
+
+def reference_is_indecomposable_partner(partner: tuple[int, ...]) -> bool:
+    """find_intervals on a raw partner table, stopping at the first hit."""
+    m = len(partner)
+    for lo in range(1, m + 1):
+        reach = lo
+        for hi in range(lo, m + 1):
+            p = partner[hi - 1]
+            if p < lo:
+                break
+            if p > reach:
+                reach = p
+            if hi > lo and reach <= hi and not (lo == 1 and hi == m):
+                return False
+    return True

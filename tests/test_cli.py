@@ -434,6 +434,35 @@ def test_cmd_census(capsys):
     assert " 3            15               4             4  yes" in out
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_census_refuses_n_below_one(capsys, n):
+    assert main(["census", "-n", n]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: n {n} is below the minimum 1\n"
+
+
+def test_census_refuses_past_the_cap_before_the_first_row(capsys):
+    # Checked once up front: no row of n = 1..9 is streamed first.
+    start = time.perf_counter()
+    assert main(["census", "-n", "10"]) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: n=10 exceeds the soft cap of 9")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+@pytest.mark.parametrize(
+    "command", [["census", "-n", "3"], ["scan", "-n", "3", "-k", "2"], ["verify", "-n", "3", "-k", "2"]]
+)
+def test_jobs_below_one_is_refused(capsys, command, jobs):
+    assert main([*command, "--jobs", jobs]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: jobs {jobs} is below the minimum 1\n"
+
+
 def test_cmd_scan(capsys):
     assert main(["scan", "-n", "3", "-k", "3"]) == 0
     out = capsys.readouterr().out

@@ -7,17 +7,26 @@ from indematch import (
     build_pin_tree,
     canonical,
     census,
+    check_census,
     enumeration,
+    find_intervals,
     is_indecomposable,
     make_matching,
     recurrence_counts,
     scan_avoiders,
+    verify_theorem,
 )
 from indematch.enumeration import SOFT_CAP
 from indematch.errors import SizeCapExceeded, SizeTooSmall
 from indematch.patterns import PatternKind
 
-from helpers import all_pin_sequences, contains
+from helpers import (
+    all_pin_sequences,
+    contains,
+    reference_is_indecomposable_partner,
+    reference_partner_tuples,
+    reference_partner_tuples_shard,
+)
 
 TOTALS = {1: 1, 2: 3, 3: 15, 4: 105, 5: 945, 6: 10395}
 INDECOMPOSABLE = {1: 1, 2: 1, 3: 4, 4: 27, 5: 248, 6: 2830}
@@ -50,6 +59,50 @@ def test_all_matchings_cap():
     assert next(gen).n == SOFT_CAP + 1
     with pytest.raises(ValueError):
         all_matchings(-1)
+
+
+def test_every_shard_streams_the_reference_tables_in_order():
+    # Position by position: a decomposable table comes out as None, an
+    # indecomposable one as the reference's tuple.
+    for n in range(1, 8):
+        for fp in range(2, 2 * n + 1):
+            got = list(enumeration._partner_tables(n, fp))
+            ref = list(reference_partner_tuples_shard(n, fp))
+            assert len(got) == len(ref), (n, fp)
+            assert [t for t in got if t is not None] == [
+                t for t in ref if reference_is_indecomposable_partner(t)
+            ], (n, fp)
+            for table, expect in zip(got, ref):
+                assert table is None or table == expect
+
+
+def test_all_matchings_is_the_reference_stream():
+    for n in range(7):
+        assert [m.partner for m in all_matchings(n)] == list(reference_partner_tuples(n)), n
+
+
+def signatures(partner):
+    """S(0), ..., S(2n): S(c) has bit l for each edge with left endpoint l
+    and exactly one endpoint <= c."""
+    out = [0]
+    for c, p in enumerate(partner, start=1):
+        out.append(out[-1] ^ (1 << min(c, p)))
+    return out
+
+
+def test_equal_signatures_are_exactly_the_closed_runs():
+    # The lemma the stream decides by: S(i) = S(j), i < j, iff [i + 1, j]
+    # is closed, i.e. a find_intervals segment or the whole vertex set.
+    for n in range(1, 7):
+        for m in all_matchings(n):
+            by_value = {}
+            for c, s in enumerate(signatures(m.partner)):
+                by_value.setdefault(s, []).append(c)
+            equal = {
+                (i, j) for cuts in by_value.values() for i in cuts for j in cuts if i < j
+            }
+            expect = {(seg.lo - 1, seg.hi) for seg in find_intervals(m)} | {(0, 2 * n)}
+            assert equal == expect, str(m)
 
 
 def test_recurrence_counts():
@@ -97,6 +150,21 @@ def test_census_validation():
         census(0)
     with pytest.raises(SizeCapExceeded):
         census(SOFT_CAP + 1)
+
+
+def test_jobs_below_one_raise_before_any_work():
+    for jobs in (0, -5):
+        with pytest.raises(SizeTooSmall, match=f"jobs {jobs} is below the minimum 1"):
+            census(3, jobs=jobs)
+        with pytest.raises(SizeTooSmall):
+            check_census(3, jobs=jobs)
+        with pytest.raises(SizeTooSmall):
+            scan_avoiders(3, 2, jobs=jobs)
+        with pytest.raises(SizeTooSmall):
+            verify_theorem(3, 2, jobs=jobs)
+    with pytest.raises(SizeCapExceeded):
+        check_census(SOFT_CAP + 1)
+    check_census(SOFT_CAP + 1, allow_large=True)
 
 
 def test_scan_avoiders_k2():

@@ -1,5 +1,6 @@
-"""Smoke tests: each script in scripts/ runs at a tiny size and exits 0,
-and every function perfbench traces still exists under its name."""
+"""Smoke tests: each script in scripts/ and python -m indematch run at a
+tiny size and exit 0, and every function perfbench traces still exists
+under its name."""
 
 import importlib
 import importlib.util
@@ -13,18 +14,22 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
 
 
 @pytest.mark.parametrize(
@@ -38,6 +43,28 @@ def test_script_runs(name, args, header):
     done = run_script(name, *args)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0].startswith(header)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["-n", "0"], "error: n 0 is below the minimum 1"),
+        (["-n", "10"], "error: n=10 exceeds the soft cap of 9"),
+        (["-n", "3", "-j", "0"], "error: jobs 0 is below the minimum 1"),
+        (["-n", "3", "-j", "-5"], "error: jobs -5 is below the minimum 1"),
+    ],
+)
+def test_census_table_refuses_bad_arguments_before_the_first_row(args, message):
+    done = run_script("census_table.py", *args)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith(message)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_python("-m", "indematch", "census", "-n", "3")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == " 3            15               4             4  yes"
 
 
 def test_pattern_gallery_writes_svgs(tmp_path):
