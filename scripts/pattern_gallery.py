@@ -4,10 +4,12 @@ size, plus optional witness overlays for user-supplied matchings."""
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 from indematch import PatternKind, canonical, witness
 from indematch.cli import parse_matching, render_svg
+from indematch.errors import MatchingError
 
 
 def _write(path: Path, svg: str) -> None:
@@ -30,21 +32,28 @@ def main(argv: list[str] | None = None) -> int:
         "size-min(k) witness highlighted; repeatable",
     )
     args = parser.parse_args(argv)
+
+    # Everything is rendered before the first file is written, so bad input
+    # leaves no partial gallery behind.
+    try:
+        svgs = [
+            (f"{kind.name.lower()}_{k}.svg", render_svg(canonical(kind, k)))
+            for k in args.k
+            for kind in PatternKind
+        ]
+        # Witness overlays only make sense for indecomposable hosts; witness()
+        # raises NotIndecomposable on anything else.
+        for i, text in enumerate(args.matching):
+            host = parse_matching(text)
+            report = witness(host, min(args.k))
+            svg = render_svg(host, report.witness or report.partial)
+            svgs.append((f"host_{i}_{report.outcome}.svg", svg))
+    except MatchingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     args.out_dir.mkdir(parents=True, exist_ok=True)
-
-    for k in args.k:
-        for kind in PatternKind:
-            pattern = canonical(kind, k)
-            name = f"{kind.name.lower()}_{k}.svg"
-            _write(args.out_dir / name, render_svg(pattern))
-
-    # Witness overlays only make sense for indecomposable hosts; witness()
-    # raises on anything else, which is the right failure here.
-    for i, text in enumerate(args.matching):
-        host = parse_matching(text)
-        report = witness(host, min(args.k))
-        name = f"host_{i}_{report.outcome}.svg"
-        _write(args.out_dir / name, render_svg(host, report.witness or report.partial))
+    for name, svg in svgs:
+        _write(args.out_dir / name, svg)
     return 0
 
 

@@ -20,7 +20,6 @@ from .core import (
     Matching,
     as_edge,
     find_intervals,
-    is_indecomposable,
     make_matching,
 )
 from .enumeration import census, check_census, scan_avoiders
@@ -378,8 +377,9 @@ def _edge_text(edges: Iterable[Edge]) -> str:
 def _cmd_check(args: argparse.Namespace) -> int:
     matching = _read_matching(args.matching)
     print(f"matching: {matching}")
-    print(f"indecomposable: {'yes' if is_indecomposable(matching) else 'no'}")
-    for seg in find_intervals(matching):
+    intervals = find_intervals(matching)
+    print(f"indecomposable: {'no' if intervals else 'yes'}")
+    for seg in intervals:
         print(f"interval {seg}")
     return 0
 

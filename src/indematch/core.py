@@ -11,7 +11,7 @@ Vertices are 1-based everywhere in the public interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DuplicateVertex,
@@ -62,16 +62,13 @@ class Segment:
 class Matching:
     """A perfect matching on [2n], as an involution without fixed points.
 
-    Construct via make_matching, which validates; the constructor itself only
-    asserts the involution property, as a cheap guard for internal callers
-    that build partner tables directly.
+    The constructor trusts its table.  Outside input goes through
+    make_matching (or the cli parsers, which call it), the one place a
+    table is validated; the library builds tables directly only where it
+    generates them.
     """
 
     partner: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p = self.partner
-        assert all(p[p[v] - 1] == v + 1 and p[v] != v + 1 for v in range(len(p)))
 
     @property
     def n(self) -> int:
@@ -137,23 +134,21 @@ def make_matching(pairs: Iterable[Iterable[int]]) -> Matching:
         partner[a - 1] = b
         partner[b - 1] = a
     # Unreachable when the earlier checks pass (2n slots, 2n distinct
-    # vertices in range), but kept as a guard against future edits.
+    # vertices in range), but kept as the backstop against future edits:
+    # Matching itself checks nothing.
     if 0 in partner:
         raise GapInVertexSet(partner.index(0) + 1)
     return Matching(tuple(partner))
 
 
-def find_intervals(matching: Matching) -> tuple[Segment, ...]:
-    """All nontrivial intervals: contiguous runs of >= 2 vertices, closed
-    under the matching, other than the whole vertex set.
+def _intervals(partner: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """Yield (lo, hi) for every nontrivial interval, by lo and then hi.
 
     For each candidate left end we sweep right, tracking the furthest
     partner seen; the run [lo, hi] is closed exactly when that reach has
     fallen back to hi.  A partner below lo kills every run starting at lo.
     """
-    partner = matching.partner
     m = len(partner)
-    found = []
     for lo in range(1, m + 1):
         reach = lo
         for hi in range(lo, m + 1):
@@ -163,29 +158,21 @@ def find_intervals(matching: Matching) -> tuple[Segment, ...]:
             if p > reach:
                 reach = p
             if hi > lo and reach <= hi and not (lo == 1 and hi == m):
-                found.append(Segment(lo, hi))
-    return tuple(found)
+                yield lo, hi
+
+
+def find_intervals(matching: Matching) -> tuple[Segment, ...]:
+    """All nontrivial intervals: contiguous runs of >= 2 vertices, closed
+    under the matching, other than the whole vertex set."""
+    return tuple(Segment(lo, hi) for lo, hi in _intervals(matching.partner))
 
 
 def is_indecomposable(matching: Matching) -> bool:
     """True when the matching has no nontrivial interval.
 
     The empty matching and the single edge are indecomposable by convention.
-    This is find_intervals' sweep, stopping at the first hit.
     """
-    partner = matching.partner
-    m = len(partner)
-    for lo in range(1, m + 1):
-        reach = lo
-        for hi in range(lo, m + 1):
-            p = partner[hi - 1]
-            if p < lo:
-                break
-            if p > reach:
-                reach = p
-            if hi > lo and reach <= hi and not (lo == 1 and hi == m):
-                return False
-    return True
+    return next(_intervals(matching.partner), None) is None
 
 
 def _induced_partner(subset: tuple[Edge, ...]) -> tuple[int, ...]:
@@ -201,11 +188,14 @@ def _induced_partner(subset: tuple[Edge, ...]) -> tuple[int, ...]:
 
 
 def subpattern(matching: Matching, keep: Iterable[Edge]) -> Matching:
-    """The matching induced by a subset of edges, relabelled onto [2k]."""
-    kept = []
+    """The matching induced by a subset of edges, relabelled onto [2k].
+    An edge given twice is a DuplicateVertex on its left endpoint."""
+    kept = set()
     for e in keep:
         if not matching.has_edge(e):
             raise UnknownEdge(e)
-        kept.append(e)
+        if e in kept:
+            raise DuplicateVertex(e.left)
+        kept.add(e)
     return Matching(_induced_partner(tuple(kept)))
 

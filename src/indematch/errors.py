@@ -86,7 +86,8 @@ class SizeCapExceeded(MatchingError):
     def __init__(self, n: int, cap: int, message: str | None = None) -> None:
         super().__init__(
             message
-            or f"n={n} exceeds the soft cap of {cap}; pass allow_large=True to override"
+            or f"n={n} exceeds the soft cap of {cap}; "
+            "pass allow_large=True (--allow-large) to override"
         )
         self.n = n
         self.cap = cap

@@ -452,6 +452,17 @@ def test_census_refuses_past_the_cap_before_the_first_row(capsys):
     assert err.startswith("error: n=10 exceeds the soft cap of 9")
 
 
+@pytest.mark.parametrize("command", [["census", "-n", "10"], ["scan", "-n", "10", "-k", "3"]])
+def test_past_the_cap_the_message_names_the_flag(capsys, command):
+    assert main(command) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: n=10 exceeds the soft cap of 9; "
+        "pass allow_large=True (--allow-large) to override\n"
+    )
+
+
 @pytest.mark.parametrize("jobs", ["0", "-5"])
 @pytest.mark.parametrize(
     "command", [["census", "-n", "3"], ["scan", "-n", "3", "-k", "2"], ["verify", "-n", "3", "-k", "2"]]

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 import random
 
 import pytest
@@ -17,6 +17,7 @@ from indematch import (
 )
 from indematch.errors import (
     DuplicateVertex,
+    MatchingError,
     SelfLoop,
     SharedVertex,
     UnknownEdge,
@@ -87,6 +88,48 @@ def test_make_matching_rejects_bad_input():
         make_matching([(1, 2), (2, 3)])
 
 
+def _assert_boundary_holds(pairs):
+    """make_matching either raises a MatchingError, exactly when the pairs
+    do not cover [2n] once each, or returns a fixed-point-free involution
+    on [2n] whose edges are the normalized input."""
+    size = 2 * len(pairs)
+    covers = sorted(v for pair in pairs for v in pair) == list(range(1, size + 1))
+    try:
+        m = make_matching(pairs)
+    except MatchingError:
+        assert not covers, pairs
+        return
+    assert covers, pairs
+    p = m.partner
+    assert len(p) == size
+    assert all(1 <= p[v] <= size and p[v] != v + 1 and p[p[v] - 1] == v + 1 for v in range(size))
+    assert m.edges() == tuple(sorted(as_edge(pair) for pair in pairs))
+
+
+def test_make_matching_is_the_boundary_exhaustively():
+    for n in range(3):
+        for flat in product(range(2 * n + 2), repeat=2 * n):
+            _assert_boundary_holds([flat[2 * i : 2 * i + 2] for i in range(n)])
+
+
+@st.composite
+def _pair_lists(draw, max_n: int = 6):
+    """n pairs over 0..2n+1: a shuffled cover of [2n] half the time, so
+    the accepting side is drawn as often as the rejecting one."""
+    n = draw(st.integers(0, max_n))
+    if draw(st.booleans()):
+        flat = draw(st.permutations(range(1, 2 * n + 1)))
+    else:
+        flat = draw(st.lists(st.integers(0, 2 * n + 1), min_size=2 * n, max_size=2 * n))
+    return [tuple(flat[2 * i : 2 * i + 2]) for i in range(n)]
+
+
+@settings(max_examples=300)
+@given(_pair_lists())
+def test_make_matching_is_the_boundary_random(pairs):
+    _assert_boundary_holds(pairs)
+
+
 def test_edge_relation():
     assert edge_relation(Edge(1, 3), Edge(2, 4)) is Relation.CROSSING
     assert edge_relation(Edge(2, 4), Edge(1, 3)) is Relation.CROSSING
@@ -131,6 +174,20 @@ def test_subpattern_relabels():
     assert sub == make_matching([(1, 3), (2, 4)])
     with pytest.raises(UnknownEdge):
         subpattern(CHAIN, (Edge(3, 6),))
+
+
+@pytest.mark.parametrize(
+    "keep",
+    [
+        (Edge(3, 5), Edge(3, 5)),
+        (Edge(1, 6), Edge(3, 5), Edge(4, 7), Edge(3, 5)),
+        (Edge(3, 5), Edge(1, 6), Edge(3, 5), Edge(2, 8)),
+    ],
+)
+def test_subpattern_rejects_a_repeated_edge(keep):
+    with pytest.raises(DuplicateVertex) as exc:
+        subpattern(CHAIN, keep)
+    assert exc.value.vertex == 3
 
 
 def test_contains_small_cases():

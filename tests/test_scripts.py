@@ -75,6 +75,42 @@ def test_pattern_gallery_writes_svgs(tmp_path):
     assert first.read_text(encoding="utf-8").startswith("<svg")
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["-k", "1"], "error: broken nesting size 1 is below the minimum 2"),
+        (["--matching", "1-2 3-4"], "error: the matching is decomposable"),
+        (["--matching", "1-x"], "error: parse error at position 1: expected a-b, got '1-x'"),
+    ],
+)
+def test_pattern_gallery_reports_bad_input_in_one_line(tmp_path, args, message):
+    out_dir = tmp_path / "gallery"
+    done = run_script("pattern_gallery.py", "-k", "2", "-o", str(out_dir), *args)
+    assert done.returncode == 1
+    assert (done.stdout, done.stderr) == ("", message + "\n")
+    assert not out_dir.exists()
+
+
+def test_census_table_names_the_flag_past_the_cap():
+    done = run_script("census_table.py", "-n", "10")
+    assert done.returncode == 1
+    assert "--allow-large" in done.stderr
+
+
+def test_every_workload_sets_up_with_a_clean_warm_up(monkeypatch):
+    # Setup imports the package, generates the inputs and runs one checked
+    # warm-up op; a change that breaks a workload's output must fail here.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    assert workloads.NAMES == ("census", "exhaustive", "certify", "chains")
+    for name in workloads.NAMES:
+        _, _, problems, _ = workloads.setup(name, 1)
+        assert problems == [], name
+
+
 def test_every_traced_function_resolves():
     # perfbench --trace 1 wraps these by name; a rename must fail here.
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
