@@ -12,23 +12,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from indematch import bounds, scan_avoiders
 from indematch.cli import format_matching
 from indematch.errors import MatchingError
 
 
-@dataclass(frozen=True)
-class Config:
-    n_max: int
-    k_values: tuple[int, ...]
-    jobs: int
-    show_examples: bool
-    allow_large: bool
-
-
-def parse_args(argv: list[str] | None = None) -> Config:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-n", "--n-max", type=int, default=6, help="largest n (default 6)")
     parser.add_argument(
@@ -39,24 +29,23 @@ def parse_args(argv: list[str] | None = None) -> Config:
     parser.add_argument(
         "--allow-large", action="store_true", help="lift the soft size cap past n=9"
     )
-    args = parser.parse_args(argv)
-    return Config(args.n_max, tuple(args.k), args.jobs, args.examples, args.allow_large)
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = parse_args(argv)
-    for k in cfg.k_values:
+    args = parse_args(argv)
+    for k in args.k:
         try:
             b = bounds(k)
-            report = scan_avoiders(cfg.n_max, k, jobs=cfg.jobs, allow_large=cfg.allow_large)
+            report = scan_avoiders(args.n_max, k, jobs=args.jobs, allow_large=args.allow_large)
         except MatchingError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         print(f"k={k}: tree bound {b.tree_bound}, stated bound {b.stated}")
-        for n in range(1, cfg.n_max + 1):
+        for n in range(1, args.n_max + 1):
             count = report.counts.get(n, 0)
             line = f"  n={n}: {count} avoider(s)"
-            if cfg.show_examples and n in report.examples:
+            if args.examples and n in report.examples:
                 line += f"  e.g. {format_matching(report.examples[n])}"
             print(line)
         print(f"  largest avoider seen: n={report.max_size}")

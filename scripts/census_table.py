@@ -10,21 +10,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from indematch import census, check_census
 from indematch.errors import MatchingError
 
 
-@dataclass(frozen=True)
-class Config:
-    n_max: int
-    jobs: int
-    markdown: bool
-    allow_large: bool
-
-
-def parse_args(argv: list[str] | None = None) -> Config:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-n", "--n-max", type=int, default=7, help="largest n (default 7)")
     parser.add_argument("-j", "--jobs", type=int, default=1, help="parallel shards per row")
@@ -32,29 +23,28 @@ def parse_args(argv: list[str] | None = None) -> Config:
     parser.add_argument(
         "--allow-large", action="store_true", help="lift the soft size cap past n=9"
     )
-    args = parser.parse_args(argv)
-    return Config(args.n_max, args.jobs, args.markdown, args.allow_large)
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
     try:
-        check_census(cfg.n_max, jobs=cfg.jobs, allow_large=cfg.allow_large)
+        check_census(args.n_max, jobs=args.jobs, allow_large=args.allow_large)
     except MatchingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if cfg.markdown:
+    if args.markdown:
         print("| n | total | indecomposable | recurrence | match | seconds |")
         print("|--:|--:|--:|--:|:--|--:|")
     else:
         print(f"{'n':>2}  {'total':>12}  {'indecomposable':>14}  {'recurrence':>12}  "
               f"{'match':<5}  {'seconds':>8}")
-    for n in range(1, cfg.n_max + 1):
+    for n in range(1, args.n_max + 1):
         start = time.perf_counter()
-        row = census(n, jobs=cfg.jobs, allow_large=cfg.allow_large)
+        row = census(n, jobs=args.jobs, allow_large=args.allow_large)
         elapsed = time.perf_counter() - start
         match = "yes" if row.matches_recurrence else "NO"
-        if cfg.markdown:
+        if args.markdown:
             print(f"| {row.n} | {row.total} | {row.indecomposable} | "
                   f"{row.recurrence_value} | {match} | {elapsed:.2f} |")
         else:

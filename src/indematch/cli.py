@@ -31,7 +31,7 @@ from .errors import (
     UnknownEdge,
 )
 from .patterns import PatternKind, Side, Witness, WitnessKind, canonical_edges
-from .pins import classify_sequence, grow_right_reaching, properize
+from .pins import PinSequence, classify_sequence, grow_right_reaching, properize
 from .ramsey import WitnessReport, bounds, verify_theorem, witness
 
 SCHEMA_VERSION = 1
@@ -360,8 +360,7 @@ def _read_certificate(path: str) -> object:
         raise InvariantViolation(f"certificate is not valid JSON: {exc}") from exc
 
 
-def _flags(matching: Matching, pins: tuple[Edge, ...]) -> str:
-    cls = classify_sequence(matching, pins)
+def _flags(cls: PinSequence) -> str:
     yn = {True: "yes", False: "no"}
     return (
         f"pin_sequence={yn[cls.is_pin_sequence]} "
@@ -394,9 +393,9 @@ def _cmd_pins(args: argparse.Namespace) -> int:
         start = matching.edges()[0]
     grown = grow_right_reaching(matching, start)
     print(f"start: {start}")
-    print(f"grown: {_edge_text(grown)}  [{_flags(matching, grown)}]")
+    print(f"grown: {_edge_text(grown)}  [{_flags(classify_sequence(matching, grown))}]")
     proper = properize(matching, grown)
-    print(f"proper: {_edge_text(proper.pins)}  [{_flags(matching, proper.pins)}]")
+    print(f"proper: {_edge_text(proper.pins)}  [{_flags(proper)}]")
     return 0
 
 

@@ -187,11 +187,13 @@ def _induced_partner(subset: tuple[Edge, ...]) -> tuple[int, ...]:
     return tuple(partner)
 
 
-def subpattern(matching: Matching, keep: Iterable[Edge]) -> Matching:
+def subpattern(matching: Matching, keep: Iterable[Iterable[int]]) -> Matching:
     """The matching induced by a subset of edges, relabelled onto [2k].
-    An edge given twice is a DuplicateVertex on its left endpoint."""
+    Each edge is an endpoint pair in either order, normalized by as_edge;
+    an edge given twice is a DuplicateVertex on its left endpoint."""
     kept = set()
-    for e in keep:
+    for pair in keep:
+        e = as_edge(pair)
         if not matching.has_edge(e):
             raise UnknownEdge(e)
         if e in kept:

@@ -36,12 +36,6 @@ class GapInVertexSet(MatchingError):
         self.vertex = vertex
 
 
-class SharedVertex(MatchingError):
-    def __init__(self, vertex: int) -> None:
-        super().__init__(f"edges share vertex {vertex}")
-        self.vertex = vertex
-
-
 class UnknownEdge(MatchingError):
     def __init__(self, edge) -> None:
         super().__init__(f"edge {edge} is not an edge of the matching")

@@ -104,11 +104,11 @@ def witness(matching: Matching, k: int) -> WitnessReport:
     edge.  Otherwise the pin tree capped at depth k is built; its first
     length-k node is a witness.  Failing both, the counting bound must
     hold, and a report with the deepest tree node as partial witness is
-    returned.
+    returned.  Indecomposability is tested once: just before
+    extract_from_crossed_edge in the heavy-edge case, by build_pin_tree
+    otherwise.
     """
     b = bounds(k)
-    if not is_indecomposable(matching):
-        raise NotIndecomposable()
     partner = matching.partner
     for left, right in enumerate(partner, start=1):
         # An edge spanning fewer inner vertices than the threshold cannot
@@ -116,23 +116,23 @@ def witness(matching: Matching, k: int) -> WitnessReport:
         if right - left > b.crossing_threshold and (
             _crossing_count(partner, left, right) >= b.crossing_threshold
         ):
+            if not is_indecomposable(matching):
+                raise NotIndecomposable()
             found = extract_from_crossed_edge(matching, Edge(left, right), k)
             return WitnessReport(b, matching.n, found, None)
     tree = build_pin_tree(matching, k)
-    for node in tree.nodes:
-        if len(node) == k:
-            found = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, node)
-            return WitnessReport(b, matching.n, found, None)
+    # max keeps the first longest node; depth is capped at k, so it is the
+    # witness at length k and the partial witness below.
+    deepest = max(tree.nodes, key=len, default=None)
+    pins = deepest and Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, deepest)
+    if pins and pins.size == k:
+        return WitnessReport(b, matching.n, pins, None)
     if matching.n >= b.tree_bound:
         raise InvariantViolation(
             f"{matching.n} edges with no witness at k={b.k} contradicts "
             f"the tree bound {b.tree_bound}"
         )
-    partial = None
-    if tree.nodes:
-        deepest = next(n for n in tree.nodes if len(n) == tree.max_length)
-        partial = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, deepest)
-    return WitnessReport(b, matching.n, None, partial)
+    return WitnessReport(b, matching.n, None, pins)
 
 
 @dataclass(frozen=True)

@@ -45,11 +45,16 @@ from indematch.errors import (
     NotIndecomposable,
     NotRightReaching,
     ParseError,
-    SharedVertex,
     UnknownEdge,
     VertexOutOfRange,
 )
 from indematch.pins import _walk_pins
+
+
+class SharedVertex(MatchingError):
+    def __init__(self, vertex: int) -> None:
+        super().__init__(f"edges share vertex {vertex}")
+        self.vertex = vertex
 
 
 class Relation(Enum):

@@ -19,13 +19,13 @@ from indematch.errors import (
     DuplicateVertex,
     MatchingError,
     SelfLoop,
-    SharedVertex,
     UnknownEdge,
     VertexOutOfRange,
 )
 
 from helpers import (
     Relation,
+    SharedVertex,
     contains,
     edge_relation,
     matchings,
@@ -182,12 +182,23 @@ def test_subpattern_relabels():
         (Edge(3, 5), Edge(3, 5)),
         (Edge(1, 6), Edge(3, 5), Edge(4, 7), Edge(3, 5)),
         (Edge(3, 5), Edge(1, 6), Edge(3, 5), Edge(2, 8)),
+        ((3, 5), (5, 3)),
     ],
 )
 def test_subpattern_rejects_a_repeated_edge(keep):
     with pytest.raises(DuplicateVertex) as exc:
         subpattern(CHAIN, keep)
     assert exc.value.vertex == 3
+
+
+def test_subpattern_takes_plain_pairs_in_either_order():
+    crossing = make_matching([(1, 3), (2, 4)])
+    single = make_matching([(1, 2)])
+    for keep in ([(1, 3)], [(3, 1)], [Edge(1, 3)]):
+        assert subpattern(crossing, keep) == single
+    assert subpattern(CHAIN, [(7, 4), (3, 5)]) == crossing
+    with pytest.raises(UnknownEdge):
+        subpattern(crossing, [(1, 2)])
 
 
 def test_contains_small_cases():

@@ -19,7 +19,7 @@ ALL_ERRORS = [
 
 
 def test_every_error_is_a_matching_error():
-    assert len(ALL_ERRORS) == 16
+    assert len(ALL_ERRORS) == 15
     for cls in ALL_ERRORS:
         assert issubclass(cls, errors.MatchingError)
 

@@ -116,6 +116,10 @@ def test_witness_rejects_bad_input():
         witness(make_matching([(1, 2), (3, 4)]), 2)
     with pytest.raises(SizeTooSmall):
         witness(INT4, 1)
+    # 1-6 has 4 crossers, the k=2 threshold: the heavy-edge case must
+    # refuse a decomposable host too.
+    with pytest.raises(NotIndecomposable):
+        witness(make_matching([(1, 6), (2, 7), (3, 8), (4, 9), (5, 10), (11, 12)]), 2)
 
 
 @settings(max_examples=120)

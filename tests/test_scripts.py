@@ -121,3 +121,20 @@ def test_every_traced_function_resolves():
         assert callable(getattr(module, fn_name, None)), (module_name, fn_name)
     assert set(tracing.MODULES) >= {m for m, _ in tracing.WRAPPED}
     assert callable(importlib.import_module("indematch.patterns").Witness.verify)
+
+
+def test_traced_verify_sweeps_each_host_once():
+    # The counts perfbench --trace 1 reads: one indecomposability test,
+    # one witness call and one pin tree per host.
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = importlib.import_module("indematch.ramsey").verify_theorem(5, 3)
+    finally:
+        tracer.uninstall()
+    assert report.checked == 281
+    for name in ("core.is_indecomposable", "ramsey.witness", "pins.build_pin_tree"):
+        assert tracer.calls[name] == report.checked, name
