@@ -32,7 +32,7 @@ from .errors import (
 )
 from .patterns import PatternKind, Side, Witness, WitnessKind, canonical_edges
 from .pins import PinSequence, classify_sequence, grow_right_reaching, properize
-from .ramsey import WitnessReport, bounds, verify_theorem, witness
+from .ramsey import Bounds, WitnessReport, bounds, verify_theorem, witness
 
 SCHEMA_VERSION = 1
 
@@ -153,19 +153,18 @@ def format_matching(matching: Matching, form: str = "edges") -> str:
     return ",".join(word) if matching.n > 26 else "".join(word)
 
 
+def _bounds_field(b: Bounds) -> dict[str, str]:
+    """Bounds as decimal strings; (2k)^(2k) will not survive a float round-trip."""
+    return {f: str(getattr(b, f)) for f in ("stated", "crossing_threshold", "tree_bound")}
+
+
 def certificate_document(report: WitnessReport, host: Matching) -> dict:
-    """JSON-ready certificate for a witness report.  Bounds go out as
-    decimal strings; (2k)^(2k) will not survive a float round-trip."""
-    b = report.bounds
+    """JSON-ready certificate for a witness report."""
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
-        "k": b.k,
+        "k": report.bounds.k,
         "host": format_matching(host, "edges"),
-        "bounds": {
-            "stated": str(b.stated),
-            "crossing_threshold": str(b.crossing_threshold),
-            "tree_bound": str(b.tree_bound),
-        },
+        "bounds": _bounds_field(report.bounds),
     }
     w = report.witness
     if w is not None:
@@ -229,12 +228,7 @@ def verify_certificate(doc: dict) -> str:
     if not _is_int(doc["size"]):
         raise InvariantViolation("size must be an integer")
     b = bounds(k)
-    want = {
-        "stated": str(b.stated),
-        "crossing_threshold": str(b.crossing_threshold),
-        "tree_bound": str(b.tree_bound),
-    }
-    if doc["bounds"] != want:
+    if doc["bounds"] != _bounds_field(b):
         raise InvariantViolation("bounds disagree with recomputation")
     host = parse_matching(doc["host"])
     edges = _certificate_edges(doc["edges"])
@@ -420,11 +414,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         )
         if report.partial is not None:
             print(f"partial: {_edge_text(report.partial.edges)}")
-    b = report.bounds
-    print(
-        f"bounds: stated={b.stated} crossing_threshold={b.crossing_threshold} "
-        f"tree_bound={b.tree_bound}"
-    )
+    fields = _bounds_field(report.bounds).items()
+    print("bounds: " + " ".join(f"{name}={value}" for name, value in fields))
     return 0
 
 

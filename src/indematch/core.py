@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import (
     DuplicateVertex,
     GapInVertexSet,
+    MatchingError,
     SelfLoop,
     UnknownEdge,
     VertexOutOfRange,
@@ -33,8 +34,13 @@ class Edge(NamedTuple):
 
 
 def as_edge(pair: Iterable[int]) -> Edge:
-    """Normalize an endpoint pair into an Edge, smaller endpoint first."""
-    a, b = pair
+    """Normalize a pair of int endpoints into an Edge, smaller endpoint first."""
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        a = b = None
+    if not (isinstance(a, int) and isinstance(b, int)):
+        raise MatchingError(f"endpoint pair {pair!r} is not two integers")
     if a == b:
         raise SelfLoop(a)
     return Edge(a, b) if a < b else Edge(b, a)
@@ -116,23 +122,30 @@ def make_matching(pairs: Iterable[Iterable[int]]) -> Matching:
     duplicates; the first vertex out of range is looked for only once the
     minimum or maximum shows there is one.
     """
-    ends = [(a, b) for a, b in pairs]
-    for a, b in ends:
-        if a == b:
-            raise SelfLoop(a)
-    size = 2 * len(ends)
-    flat = [v for e in ends for v in e]
-    if flat and (min(flat) < 1 or max(flat) > size):
-        raise VertexOutOfRange(
-            next(v for e in ends for v in sorted(e) if not 1 <= v <= size), size
-        )
-    partner = [0] * size
-    for a, b in ends:
-        if partner[a - 1] or partner[b - 1]:
-            first, second = sorted((a, b))
-            raise DuplicateVertex(first if partner[first - 1] else second)
-        partner[a - 1] = b
-        partner[b - 1] = a
+    if iter(pairs) is pairs:  # keep a one-shot iterator for the reread below
+        pairs = list(pairs)
+    try:
+        ends = [(a, b) for a, b in pairs]
+        for a, b in ends:
+            if a == b:
+                raise SelfLoop(a)
+        size = 2 * len(ends)
+        flat = [v for e in ends for v in e]
+        if flat and (min(flat) < 1 or max(flat) > size):
+            raise VertexOutOfRange(
+                next(v for e in ends for v in sorted(e) if not 1 <= v <= size), size
+            )
+        partner = [0] * size
+        for a, b in ends:
+            if partner[a - 1] or partner[b - 1]:
+                first, second = sorted((a, b))
+                raise DuplicateVertex(first if partner[first - 1] else second)
+            partner[a - 1] = b
+            partner[b - 1] = a
+    except (TypeError, ValueError):  # a pair that is not two ints
+        for pair in pairs:
+            as_edge(pair)  # raises on the first such pair, naming it
+        raise
     # Unreachable when the earlier checks pass (2n slots, 2n distinct
     # vertices in range), but kept as the backstop against future edits:
     # Matching itself checks nothing.

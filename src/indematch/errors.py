@@ -72,8 +72,7 @@ class DuplicateValue(MatchingError):
 
 
 class InsufficientCrossers(MatchingError):
-    def __init__(self, message: str) -> None:
-        super().__init__(message)
+    """The crossers of an edge hold no run long enough for the target size."""
 
 
 class SizeCapExceeded(MatchingError):

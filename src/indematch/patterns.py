@@ -254,24 +254,21 @@ def max_pattern(matching: Matching, kind: PatternKind) -> tuple[int, tuple[Edge,
     crossers of its breaker.  (0, ()) when no pattern of the kind occurs.
     """
     edges = matching.edges()
-    if not edges:
-        return 0, ()
+    # Right endpoints of distinct edges are distinct: no DuplicateValue check.
     if kind is PatternKind.NESTING:
-        _, decr = longest_monotone(tuple(f.right for f in edges))
+        decr = _longest_run([-f.right for f in edges])
         return len(decr), tuple(edges[i] for i in decr)
+    # Per kind: the crossers holding the rest (0 left, 1 right), the run's sign.
+    side, sign = {
+        PatternKind.INTERLEAVING: (1, 1),
+        PatternKind.RIGHT_BROKEN_NESTING: (0, -1),
+        PatternKind.LEFT_BROKEN_NESTING: (1, -1),
+    }[kind]
     best: tuple[int, tuple[Edge, ...]] = (0, ())
-    if kind is PatternKind.INTERLEAVING:
-        for f in edges:
-            _, right = crossers(matching, f)
-            incr, _ = longest_monotone(tuple(g.right for g in right))
-            if 1 + len(incr) > best[0]:
-                best = (1 + len(incr), (f,) + tuple(right[i] for i in incr))
-        return best
-    take_left = kind is PatternKind.RIGHT_BROKEN_NESTING
-    for b in edges:
-        left, right = crossers(matching, b)
-        chosen = left if take_left else right
-        _, decr = longest_monotone(tuple(g.right for g in chosen))
-        if decr and 1 + len(decr) > best[0]:
-            best = (1 + len(decr), (b,) + tuple(chosen[i] for i in decr))
+    for f in edges:
+        chosen = crossers(matching, f)[side]
+        run = _longest_run([sign * g.right for g in chosen])
+        # A lone edge is an interleaving; a broken nesting needs a nest.
+        if (run or sign > 0) and 1 + len(run) > best[0]:
+            best = (1 + len(run), (f,) + tuple(chosen[i] for i in run))
     return best

@@ -32,6 +32,7 @@ from indematch import (
     extract_from_crossed_edge,
     as_edge,
     is_indecomposable,
+    longest_monotone,
     make_matching,
     subpattern,
 )
@@ -487,6 +488,46 @@ def reference_longest_run(
         out.append(best)
         best = prev[best]
     return tuple(reversed(out))
+
+
+# max_pattern as it was with one loop per kind and longest_monotone per
+# edge; max_pattern must return exactly what this returns, tie-breaks
+# included.
+
+
+def reference_max_pattern(matching: Matching, kind: PatternKind) -> tuple[int, tuple[Edge, ...]]:
+    """Largest k with canonical(kind, k) contained in the matching, plus a
+    witnessing edge set in semantic order.
+
+    Interleavings: every pairwise-crossing family consists of one edge f
+    plus right crossers of f with increasing right endpoints, since f.right
+    separates all their left endpoints from all their right endpoints.
+    Nestings are decreasing runs of right endpoints across left-sorted
+    edges, and a broken nesting is a nested chain inside the left (right)
+    crossers of its breaker.  (0, ()) when no pattern of the kind occurs.
+    """
+    edges = matching.edges()
+    if not edges:
+        return 0, ()
+    if kind is PatternKind.NESTING:
+        _, decr = longest_monotone(tuple(f.right for f in edges))
+        return len(decr), tuple(edges[i] for i in decr)
+    best: tuple[int, tuple[Edge, ...]] = (0, ())
+    if kind is PatternKind.INTERLEAVING:
+        for f in edges:
+            _, right = crossers(matching, f)
+            incr, _ = longest_monotone(tuple(g.right for g in right))
+            if 1 + len(incr) > best[0]:
+                best = (1 + len(incr), (f,) + tuple(right[i] for i in incr))
+        return best
+    take_left = kind is PatternKind.RIGHT_BROKEN_NESTING
+    for b in edges:
+        left, right = crossers(matching, b)
+        chosen = left if take_left else right
+        _, decr = longest_monotone(tuple(g.right for g in chosen))
+        if decr and 1 + len(decr) > best[0]:
+            best = (1 + len(decr), (b,) + tuple(chosen[i] for i in decr))
+    return best
 
 
 def reference_witness_verify(

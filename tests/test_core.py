@@ -43,6 +43,8 @@ def test_as_edge_normalizes():
     assert as_edge([3, 5]) == Edge(3, 5)
     with pytest.raises(SelfLoop):
         as_edge((4, 4))
+    with pytest.raises(MatchingError, match=r"^endpoint pair \(1,\) is not two integers$"):
+        as_edge((1,))
 
 
 def test_edge_str():
@@ -86,6 +88,18 @@ def test_make_matching_rejects_bad_input():
         make_matching([(0, 1)])
     with pytest.raises(DuplicateVertex):
         make_matching([(1, 2), (2, 3)])
+    # A pair that is not two ints is named in a MatchingError, also when
+    # the pairs come from a one-shot iterator.
+    for pairs, named in [
+        ([(1, 2, 3)], "(1, 2, 3)"),
+        ([(1,)], "(1,)"),
+        ([("1", "2")], "('1', '2')"),
+        ([(1.0, 2.0)], "(1.0, 2.0)"),
+        (iter([(1, 2), (3,), (4, 5)]), "(3,)"),
+    ]:
+        with pytest.raises(MatchingError) as exc:
+            make_matching(pairs)
+        assert str(exc.value) == f"endpoint pair {named} is not two integers"
 
 
 def _assert_boundary_holds(pairs):
@@ -197,6 +211,8 @@ def test_subpattern_takes_plain_pairs_in_either_order():
     for keep in ([(1, 3)], [(3, 1)], [Edge(1, 3)]):
         assert subpattern(crossing, keep) == single
     assert subpattern(CHAIN, [(7, 4), (3, 5)]) == crossing
+    with pytest.raises(MatchingError, match=r"^endpoint pair \(1,\) is not two integers$"):
+        subpattern(crossing, [(1,)])
     with pytest.raises(UnknownEdge):
         subpattern(crossing, [(1, 2)])
 

@@ -217,7 +217,7 @@ def oracle_avoider(m, k: int) -> bool:
     return True
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_scan_avoiders_against_containment_oracle(k):
     report = scan_avoiders(4, k)
     for n in range(1, 5):

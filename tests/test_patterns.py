@@ -38,6 +38,7 @@ from helpers import (
     oracle_max_size,
     reference_crossers,
     reference_longest_run,
+    reference_max_pattern,
     reference_witness_verify,
     reverse,
 )
@@ -396,6 +397,24 @@ def test_max_pattern_matches_oracle_exhaustively():
                 assert size == oracle_max_size(m, kind), (str(m), kind)
                 if size:
                     assert subpattern(m, tuple(sorted(edges))) == canonical(kind, size)
+
+
+def test_max_pattern_is_the_reference_exhaustively():
+    # The oracle tests check sizes and that the edges induce the pattern;
+    # this pins which edges win a tie: every host with n <= 5 and every
+    # indecomposable host with n = 6.
+    hosts = [m for n in range(6) for m in all_matchings(n)]
+    hosts += [m for m in all_matchings(6) if is_indecomposable(m)]
+    for m in hosts:
+        for kind in PatternKind:
+            assert max_pattern(m, kind) == reference_max_pattern(m, kind), (str(m), kind)
+
+
+@settings(max_examples=100)
+@given(matchings(min_n=7, max_n=40))
+def test_max_pattern_is_the_reference_on_large_hosts(m):
+    for kind in PatternKind:
+        assert max_pattern(m, kind) == reference_max_pattern(m, kind), kind
 
 
 @settings(max_examples=100)

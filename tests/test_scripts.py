@@ -123,18 +123,37 @@ def test_every_traced_function_resolves():
     assert callable(importlib.import_module("indematch.patterns").Witness.verify)
 
 
-def test_traced_verify_sweeps_each_host_once():
-    # The counts perfbench --trace 1 reads: one indecomposability test,
-    # one witness call and one pin tree per host.
+def _traced(call):
+    """(tracer, result) of call run under perfbench's Tracer."""
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        report = importlib.import_module("indematch.ramsey").verify_theorem(5, 3)
+        return tracer, call()
     finally:
         tracer.uninstall()
+
+
+def test_traced_verify_sweeps_each_host_once():
+    # The counts perfbench --trace 1 reads: one indecomposability test,
+    # one witness call and one pin tree per host.
+    ramsey = importlib.import_module("indematch.ramsey")
+    tracer, report = _traced(lambda: ramsey.verify_theorem(5, 3))
     assert report.checked == 281
     for name in ("core.is_indecomposable", "ramsey.witness", "pins.build_pin_tree"):
         assert tracer.calls[name] == report.checked, name
+
+
+def test_traced_pattern_stage_reads_each_edge_once():
+    # In the avoider scan, max_pattern reads the crossers of each edge of
+    # the host once (n <= 5 here) and runs no longest_monotone.
+    enumeration = importlib.import_module("indematch.enumeration")
+    tracer, _ = _traced(lambda: enumeration.scan_avoiders(5, 4))
+    pattern_calls = tracer.calls["patterns.max_pattern"]
+    under_pattern = tracer.edges["patterns.max_pattern", "patterns.crossers"]
+    assert pattern_calls > 0
+    assert under_pattern == tracer.calls["patterns.crossers"]
+    assert under_pattern <= 5 * pattern_calls
+    assert tracer.edges["patterns.max_pattern", "patterns.longest_monotone"] == 0
