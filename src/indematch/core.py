@@ -39,7 +39,7 @@ def as_edge(pair: Iterable[int]) -> Edge:
         a, b = pair
     except (TypeError, ValueError):
         a = b = None
-    if not (isinstance(a, int) and isinstance(b, int)):
+    if not (isinstance(a, int) and isinstance(b, int)) or bool in (type(a), type(b)):
         raise MatchingError(f"endpoint pair {pair!r} is not two integers")
     if a == b:
         raise SelfLoop(a)
@@ -142,6 +142,9 @@ def make_matching(pairs: Iterable[Iterable[int]]) -> Matching:
                 raise DuplicateVertex(first if partner[first - 1] else second)
             partner[a - 1] = b
             partner[b - 1] = a
+        # False is out of range, so a bool can only be True, held as vertex 1.
+        if size and type(partner[partner[0] - 1]) is bool:
+            raise TypeError("a vertex is a bool")
     except (TypeError, ValueError):  # a pair that is not two ints
         for pair in pairs:
             as_edge(pair)  # raises on the first such pair, naming it

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator
 from .core import Matching
 from .errors import SizeCapExceeded, SizeTooSmall
 from .patterns import PatternKind, max_pattern
-from .pins import build_pin_tree
+from .pins import _pin_nodes
 
 # (2n - 1)!! matchings on [2n]: n = 9 means ~34M, minutes of streaming.
 # Beyond that the caller must opt in.
@@ -146,7 +146,7 @@ def _run_shards(worker: Callable, shards: list, jobs: int) -> list:
 
 def _check_cap(n: int, allow_large: bool) -> None:
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise SizeTooSmall(n, 0, "n")
     if n > SOFT_CAP:
         if not allow_large:
             raise SizeCapExceeded(n, SOFT_CAP)
@@ -240,8 +240,8 @@ def _is_avoider_partner(partner: tuple[int, ...], k: int) -> bool:
     readings genuinely disagree.
     """
     matching = Matching(partner)
-    # The pin tree is the cheapest check and rules out most hosts.
-    if build_pin_tree(matching, k).max_length >= k:
+    # Cheapest check, ruling out most hosts: the pin tree to its first length-k node.
+    if any(len(node) == k for node, _ in _pin_nodes(matching, k)):
         return False
     return all(
         max_pattern(matching, kind)[0] < k

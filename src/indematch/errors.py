@@ -58,7 +58,7 @@ class NotRightReaching(MatchingError):
         super().__init__(message)
 
 
-class SizeTooSmall(MatchingError):
+class SizeTooSmall(MatchingError, ValueError):
     def __init__(self, value: int, minimum: int, what: str = "size") -> None:
         super().__init__(f"{what} {value} is below the minimum {minimum}")
         self.value = value

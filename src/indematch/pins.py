@@ -11,7 +11,7 @@ touches the greatest vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import Edge, Matching, is_indecomposable
 from .errors import (
@@ -19,6 +19,7 @@ from .errors import (
     InvariantViolation,
     NotIndecomposable,
     NotRightReaching,
+    SizeTooSmall,
     UnknownEdge,
 )
 
@@ -59,7 +60,7 @@ def classify_sequence(matching: Matching, pins: tuple[Edge, ...]) -> PinSequence
     condition is vacuous, so properness and the split condition coincide.
     """
     if not pins:
-        raise ValueError("a pin sequence has at least one pin")
+        raise SizeTooSmall(0, 1, "pin sequence length")
     seen = set()
     for e in pins:
         if not matching.has_edge(e):
@@ -211,9 +212,9 @@ class PinTree:
         return max((len(node) for node in self.nodes), default=0)
 
 
-def build_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
-    """Grow the tree of proper right-reaching pin sequences of length at
-    most depth_cap.
+def _pin_nodes(matching: Matching, depth_cap: int) -> Iterator[tuple[tuple[Edge, ...], int]]:
+    """(node, parent index) for each node of the pin tree capped at
+    depth_cap, lazily, in breadth-first order, on a trusted host.
 
     Children of a node are the sequences extending it by one prepended edge;
     a suffix of a proper right-reaching sequence is again one, so every such
@@ -226,19 +227,11 @@ def build_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
     candidate already in the node lies inside the shadow by the time the
     walk meets it and fails the split test, so pins stay distinct.
     """
-    if depth_cap < 1:
-        raise ValueError(f"depth_cap must be at least 1, got {depth_cap}")
-    if not is_indecomposable(matching):
-        raise NotIndecomposable()
-    if matching.n == 0:
-        return PinTree(matching, (), ())
-    root = Edge(matching.partner_of(matching.top), matching.top)
-    nodes: list[tuple[Edge, ...]] = [(root,)]
-    parents = [-1]
     edges = matching.edges()
-    head = 0
-    while head < len(nodes):
-        node = nodes[head]
+    nodes = [(Edge(matching.partner[-1], matching.top),)] if edges else []
+    yield from zip(nodes, [-1])  # the root, unless the host is empty
+    # The loop reads the nodes appended while it runs.
+    for head, node in enumerate(nodes):
         if len(node) < depth_cap:
             for e in edges:
                 # (plo, phi) starts as the empty segment (0, -1): no shadow
@@ -257,6 +250,15 @@ def build_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
                         hi = b
                 else:
                     nodes.append((e,) + node)
-                    parents.append(head)
-        head += 1
-    return PinTree(matching, tuple(nodes), tuple(parents))
+                    yield nodes[-1], head
+
+
+def build_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
+    """The tree of proper right-reaching pin sequences of length at most
+    depth_cap: every node of _pin_nodes, once the cap and host are checked."""
+    if depth_cap < 1:
+        raise SizeTooSmall(depth_cap, 1, "depth_cap")
+    if not is_indecomposable(matching):
+        raise NotIndecomposable()
+    tree = tuple(_pin_nodes(matching, depth_cap))
+    return PinTree(matching, tuple(n for n, _ in tree), tuple(p for _, p in tree))

@@ -26,7 +26,7 @@ from .errors import (
     SizeTooSmall,
 )
 from .patterns import Witness, WitnessKind, extract_from_crossed_edge
-from .pins import build_pin_tree
+from .pins import _pin_nodes
 
 # verify_theorem streams every matching, which stops being desk scale
 # shortly after this.
@@ -96,19 +96,23 @@ def _crossing_count(partner: tuple[int, ...], left: int, right: int) -> int:
 
 def witness(matching: Matching, k: int) -> WitnessReport:
     """Search an indecomposable matching for a size-k interleaving, broken
-    nesting or proper pin sequence.
+    nesting or proper pin sequence, after one interval sweep of it."""
+    b = bounds(k)
+    if not is_indecomposable(matching):
+        raise NotIndecomposable()
+    return _witness(matching, b)
+
+
+def _witness(matching: Matching, b: Bounds) -> WitnessReport:
+    """witness(matching, b.k) on a host trusted to be indecomposable.
 
     Heavy-edge case first: the first edge (by endpoints) with at least
     crossing_threshold crossers feeds extract_from_crossed_edge.  Crossers
     are counted straight off the partner table, and the scan stops at that
-    edge.  Otherwise the pin tree capped at depth k is built; its first
-    length-k node is a witness.  Failing both, the counting bound must
-    hold, and a report with the deepest tree node as partial witness is
-    returned.  Indecomposability is tested once: just before
-    extract_from_crossed_edge in the heavy-edge case, by build_pin_tree
-    otherwise.
+    edge.  Otherwise the pin tree capped at depth k is walked breadth first
+    up to its first length-k node, a witness.  Failing both, the counting
+    bound must hold, and the first deepest node is the partial witness.
     """
-    b = bounds(k)
     partner = matching.partner
     for left, right in enumerate(partner, start=1):
         # An edge spanning fewer inner vertices than the threshold cannot
@@ -116,23 +120,22 @@ def witness(matching: Matching, k: int) -> WitnessReport:
         if right - left > b.crossing_threshold and (
             _crossing_count(partner, left, right) >= b.crossing_threshold
         ):
-            if not is_indecomposable(matching):
-                raise NotIndecomposable()
-            found = extract_from_crossed_edge(matching, Edge(left, right), k)
+            found = extract_from_crossed_edge(matching, Edge(left, right), b.k)
             return WitnessReport(b, matching.n, found, None)
-    tree = build_pin_tree(matching, k)
-    # max keeps the first longest node; depth is capped at k, so it is the
-    # witness at length k and the partial witness below.
-    deepest = max(tree.nodes, key=len, default=None)
-    pins = deepest and Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, deepest)
-    if pins and pins.size == k:
-        return WitnessReport(b, matching.n, pins, None)
+    # Nodes come shortest first; max keeps the first node of each length.
+    deepest: tuple[Edge, ...] = ()
+    for node, _ in _pin_nodes(matching, b.k):
+        if len(node) == b.k:
+            found = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, node)
+            return WitnessReport(b, matching.n, found, None)
+        deepest = max(deepest, node, key=len)
     if matching.n >= b.tree_bound:
         raise InvariantViolation(
             f"{matching.n} edges with no witness at k={b.k} contradicts "
             f"the tree bound {b.tree_bound}"
         )
-    return WitnessReport(b, matching.n, None, pins)
+    partial = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, deepest) if deepest else None
+    return WitnessReport(b, matching.n, None, partial)
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,7 @@ class TheoremReport:
 
 def _verify_shard(args: tuple[int, int, int]) -> tuple[Counter[str], list[str]]:
     n, first_partner, k = args
+    b = bounds(k)
     tally: Counter[str] = Counter()
     failures: list[str] = []
     for partner in _partner_tables(n, first_partner):
@@ -171,11 +175,12 @@ def _verify_shard(args: tuple[int, int, int]) -> tuple[Counter[str], list[str]]:
         matching = Matching(partner)
         tally["checked"] += 1
         try:
-            report = witness(matching, k)
+            # The stream decided indecomposability.
+            report = _witness(matching, b)
         except MatchingError as exc:
             failures.append(f"{matching}: witness raised {exc!r}")
             continue
-        # A Witness verified itself when witness() built it.
+        # A Witness verified itself when _witness built it.
         if report.witness is not None:
             tally[report.witness.kind.value] += 1
         elif report.edge_count >= report.bounds.tree_bound:

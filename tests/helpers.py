@@ -46,6 +46,7 @@ from indematch.errors import (
     NotIndecomposable,
     NotRightReaching,
     ParseError,
+    SizeTooSmall,
     UnknownEdge,
     VertexOutOfRange,
 )
@@ -239,7 +240,7 @@ def reference_classify_sequence(matching: Matching, pins: tuple[Edge, ...]) -> P
     condition is vacuous, so properness and the split condition coincide.
     """
     if not pins:
-        raise ValueError("a pin sequence has at least one pin")
+        raise SizeTooSmall(0, 1, "pin sequence length")
     seen = set()
     for e in pins:
         if not matching.has_edge(e):

@@ -45,6 +45,8 @@ def test_as_edge_normalizes():
         as_edge((4, 4))
     with pytest.raises(MatchingError, match=r"^endpoint pair \(1,\) is not two integers$"):
         as_edge((1,))
+    with pytest.raises(MatchingError, match=r"^endpoint pair \(True, 2\) is not two integers$"):
+        as_edge((True, 2))
 
 
 def test_edge_str():
@@ -95,6 +97,8 @@ def test_make_matching_rejects_bad_input():
         ([(1,)], "(1,)"),
         ([("1", "2")], "('1', '2')"),
         ([(1.0, 2.0)], "(1.0, 2.0)"),
+        ([(True, 2)], "(True, 2)"),
+        ([(3, 4), (2, True)], "(2, True)"),
         (iter([(1, 2), (3,), (4, 5)]), "(3,)"),
     ]:
         with pytest.raises(MatchingError) as exc:

@@ -17,7 +17,7 @@ from indematch import (
     verify_theorem,
 )
 from indematch.enumeration import SOFT_CAP
-from indematch.errors import SizeCapExceeded, SizeTooSmall
+from indematch.errors import MatchingError, SizeCapExceeded, SizeTooSmall
 from indematch.patterns import PatternKind
 
 from helpers import (
@@ -58,6 +58,8 @@ def test_all_matchings_cap():
         gen = all_matchings(SOFT_CAP + 1, allow_large=True)
     assert next(gen).n == SOFT_CAP + 1
     with pytest.raises(ValueError):
+        all_matchings(-1)
+    with pytest.raises(MatchingError):
         all_matchings(-1)
 
 

@@ -18,10 +18,12 @@ from indematch import (
 )
 from indematch.errors import (
     DuplicatePin,
+    MatchingError,
     NotIndecomposable,
     NotRightReaching,
     UnknownEdge,
 )
+from indematch.pins import _pin_nodes
 
 from helpers import (
     EmptySegment,
@@ -103,6 +105,8 @@ def test_classify_sequence_fixtures():
 
 def test_classify_sequence_rejects_bad_input():
     with pytest.raises(ValueError):
+        classify_sequence(CHAIN, ())
+    with pytest.raises(MatchingError):
         classify_sequence(CHAIN, ())
     with pytest.raises(UnknownEdge):
         classify_sequence(CHAIN, (Edge(3, 6),))
@@ -269,6 +273,8 @@ def test_pin_tree_depth_cap():
     assert build_pin_tree(CHAIN, 2).max_length == 2
     with pytest.raises(ValueError):
         build_pin_tree(CHAIN, 0)
+    with pytest.raises(MatchingError):
+        build_pin_tree(CHAIN, 0)
 
 
 def test_pin_tree_edge_cases():
@@ -314,6 +320,13 @@ def test_pin_tree_and_grow_match_the_reference_on_every_small_host():
         for start in m.edges():
             assert grow_right_reaching(m, start) == reference_grow_right_reaching(m, start)
     assert hosts == 1 + 1 + 4 + 27 + 248 + 2830
+
+
+def test_early_stopped_pin_nodes_decide_depth_k_like_the_full_tree():
+    for m in small_indecomposables(6):
+        for k in (2, 3, 4, 5):
+            early = any(len(node) == k for node, _ in _pin_nodes(m, k))
+            assert early == (build_pin_tree(m, k).max_length >= k), (m, k)
 
 
 @settings(max_examples=60, deadline=None)

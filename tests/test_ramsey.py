@@ -19,9 +19,9 @@ from indematch import (
 )
 from indematch.errors import NotIndecomposable, SizeCapExceeded, SizeTooSmall
 
-from indematch.ramsey import K_CAP, _crossing_count
+from indematch.ramsey import K_CAP, _crossing_count, _witness
 
-from helpers import indecomposable_matchings, reference_witness
+from helpers import indecomposable_matchings, reference_witness, small_indecomposables
 
 INT4 = canonical(PatternKind.INTERLEAVING, 4)
 
@@ -171,6 +171,19 @@ def test_verify_theorem_small_run():
 
 def test_verify_theorem_parallel_agrees():
     assert verify_theorem(4, 2, jobs=2) == verify_theorem(4, 2)
+    for k in (3, 4):
+        assert verify_theorem(6, k, jobs=2) == verify_theorem(6, k)
+
+
+def test_trusted_witness_matches_the_references_on_every_small_host():
+    # The trusted path skips the sweep and stops the tree at its first
+    # length-k node; the reference builds the whole tree.
+    hosts = 0
+    for m in small_indecomposables(6):
+        hosts += 1
+        for k in (2, 3, 4):
+            assert _witness(m, bounds(k)) == witness(m, k) == reference_witness(m, k), (m, k)
+    assert hosts == 3111
 
 
 def test_verify_theorem_input_validation():

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import small_indecomposables
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -137,13 +139,19 @@ def _traced(call):
 
 
 def test_traced_verify_sweeps_each_host_once():
-    # The counts perfbench --trace 1 reads: one indecomposability test,
-    # one witness call and one pin tree per host.
+    # The counts perfbench --trace 1 reads.  verify trusts the stream's
+    # decision: no sweep, no public witness and no full pin tree per host.
+    # The public witness sweeps each host once and builds no full tree.
     ramsey = importlib.import_module("indematch.ramsey")
     tracer, report = _traced(lambda: ramsey.verify_theorem(5, 3))
     assert report.checked == 281
     for name in ("core.is_indecomposable", "ramsey.witness", "pins.build_pin_tree"):
-        assert tracer.calls[name] == report.checked, name
+        assert tracer.calls[name] == 0, name
+    hosts = list(small_indecomposables(5))
+    assert len(hosts) == 281
+    tracer, _ = _traced(lambda: [ramsey.witness(m, 3) for m in hosts])
+    assert tracer.calls["core.is_indecomposable"] == 281
+    assert tracer.calls["pins.build_pin_tree"] == 0
 
 
 def test_traced_pattern_stage_reads_each_edge_once():
