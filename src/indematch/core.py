@@ -116,11 +116,11 @@ def make_matching(pairs: Iterable[Iterable[int]]) -> Matching:
     """Build a Matching from endpoint pairs, validating as we go.
 
     The pairs must cover {1, ..., 2n} exactly once each.  Checks run in a
-    fixed order (self loops, range, duplicates, gaps) so error messages are
-    stable for a given bad input; within an edge the smaller endpoint is
-    reported first.  The table is filled in one pass that catches
-    duplicates; the first vertex out of range is looked for only once the
-    minimum or maximum shows there is one.
+    fixed order (pair by pair, not two ints or a self loop; then range,
+    duplicates, gaps) so error messages are stable for a given bad input;
+    within an edge the smaller endpoint is reported first.  The table is
+    filled in one pass that catches duplicates; the first vertex out of
+    range is looked for only once the minimum or maximum shows there is one.
     """
     if iter(pairs) is pairs:  # keep a one-shot iterator for the reread below
         pairs = list(pairs)
@@ -145,7 +145,7 @@ def make_matching(pairs: Iterable[Iterable[int]]) -> Matching:
         # False is out of range, so a bool can only be True, held as vertex 1.
         if size and type(partner[partner[0] - 1]) is bool:
             raise TypeError("a vertex is a bool")
-    except (TypeError, ValueError):  # a pair that is not two ints
+    except (TypeError, ValueError, MatchingError):  # maybe from a non-int pair
         for pair in pairs:
             as_edge(pair)  # raises on the first such pair, naming it
         raise

@@ -49,16 +49,15 @@ def _complete(
     free: tuple[int, ...],
     choices: Iterable[int],
     s: int,
-    seen: set[int],
-    plain: bool,
+    seen: set[int] | None,
 ) -> Iterator[tuple[int, ...] | None]:
     """Complete partner in place over the free vertices (ascending),
     pairing free[0] with free[i] for each i in choices in turn.
 
-    s is S(free[0] - 1), or -1 once a signature has repeated (or when no
-    signature is tracked); seen holds the earlier signatures.  A finished
-    table comes out as a tuple, or as None when a signature repeated and
-    plain is off.  The last two free vertices are paired inline.
+    s is S(free[0] - 1), or -1 once a signature has repeated; seen holds
+    the earlier signatures, or is None (with s = -1) when none are tracked.
+    A finished table comes out as a tuple, or as None when a signature
+    repeated.  The last two free vertices are paired inline.
     """
     m = len(partner)
     a = free[0]
@@ -83,7 +82,7 @@ def _complete(
         if len(rest) > 2:
             if t >= 0:
                 seen.update(added)
-            yield from _complete(partner, rest, range(1, len(rest)), t, seen, plain)
+            yield from _complete(partner, rest, range(1, len(rest)), t, seen)
             if t >= 0:
                 seen.difference_update(added)
             continue
@@ -100,7 +99,7 @@ def _complete(
                     if t in seen or t in added:
                         t = -1
                         break
-        yield tuple(partner) if t >= 0 or plain else None
+        yield tuple(partner) if t >= 0 or seen is None else None
 
 
 def _partner_tables(
@@ -118,7 +117,12 @@ def _partner_tables(
         return iter([()])
     choices = range(1, m) if first_partner is None else (first_partner - 1,)
     free = tuple(range(1, m + 1))
-    return _complete([0] * m, free, choices, 0 if decide else -1, {0}, not decide)
+    return _complete([0] * m, free, choices, 0 if decide else -1, {0} if decide else None)
+
+
+def _hosts(n: int, first_partner: int) -> Iterator[Matching]:
+    """The shard's tables the stream decided are indecomposable, in order."""
+    return (Matching(p) for p in _partner_tables(n, first_partner) if p is not None)
 
 
 def _host_shards(n_max: int, k: int) -> list[tuple[int, int, int]]:
@@ -230,7 +234,7 @@ def census(n: int, *, jobs: int = 1, allow_large: bool = False) -> CensusRow:
     return CensusRow(n, total, indec, recurrence_counts(n)[n])
 
 
-def _is_avoider_partner(partner: tuple[int, ...], k: int) -> bool:
+def _is_avoider(matching: Matching, k: int) -> bool:
     """No size-k interleaving or broken nesting, and no proper
     right-reaching pin sequence with k pins (the depth-capped tree decides
     the latter).  Proper pin sequences that fail to reach the last vertex
@@ -239,9 +243,8 @@ def _is_avoider_partner(partner: tuple[int, ...], k: int) -> bool:
     no difference appears for any host with n <= 6; from k = 4 on the two
     readings genuinely disagree.
     """
-    matching = Matching(partner)
     # Cheapest check, ruling out most hosts: the pin tree to its first length-k node.
-    if any(len(node) == k for node, _ in _pin_nodes(matching, k)):
+    if any(len(node) == k for node in _pin_nodes(matching, k)):
         return False
     return all(
         max_pattern(matching, kind)[0] < k
@@ -266,15 +269,15 @@ class AvoiderReport:
         return max(hits, default=0)
 
 
-def _scan_shard(args: tuple[int, int, int]) -> tuple[int, tuple[int, ...] | None]:
+def _scan_shard(args: tuple[int, int, int]) -> tuple[int, Matching | None]:
     n, first_partner, k = args
     count = 0
     example = None
-    for partner in _partner_tables(n, first_partner):
-        if partner is not None and _is_avoider_partner(partner, k):
+    for matching in _hosts(n, first_partner):
+        if _is_avoider(matching, k):
             count += 1
             if example is None:
-                example = partner
+                example = matching
     return count, example
 
 
@@ -296,5 +299,5 @@ def scan_avoiders(
         counts[n] += count
         # Shards run in canonical order, so the first example of each n is its least.
         if example is not None and n not in examples:
-            examples[n] = Matching(example)
+            examples[n] = example
     return AvoiderReport(n_max, k, counts, examples)

@@ -212,9 +212,9 @@ class PinTree:
         return max((len(node) for node in self.nodes), default=0)
 
 
-def _pin_nodes(matching: Matching, depth_cap: int) -> Iterator[tuple[tuple[Edge, ...], int]]:
-    """(node, parent index) for each node of the pin tree capped at
-    depth_cap, lazily, in breadth-first order, on a trusted host.
+def _pin_nodes(matching: Matching, depth_cap: int) -> Iterator[tuple[Edge, ...]]:
+    """Each node of the pin tree capped at depth_cap, lazily, in
+    breadth-first order, on a trusted host.
 
     Children of a node are the sequences extending it by one prepended edge;
     a suffix of a proper right-reaching sequence is again one, so every such
@@ -229,9 +229,9 @@ def _pin_nodes(matching: Matching, depth_cap: int) -> Iterator[tuple[tuple[Edge,
     """
     edges = matching.edges()
     nodes = [(Edge(matching.partner[-1], matching.top),)] if edges else []
-    yield from zip(nodes, [-1])  # the root, unless the host is empty
+    yield from nodes  # the root, unless the host is empty
     # The loop reads the nodes appended while it runs.
-    for head, node in enumerate(nodes):
+    for node in nodes:
         if len(node) < depth_cap:
             for e in edges:
                 # (plo, phi) starts as the empty segment (0, -1): no shadow
@@ -250,7 +250,7 @@ def _pin_nodes(matching: Matching, depth_cap: int) -> Iterator[tuple[tuple[Edge,
                         hi = b
                 else:
                     nodes.append((e,) + node)
-                    yield nodes[-1], head
+                    yield nodes[-1]
 
 
 def build_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
@@ -260,5 +260,6 @@ def build_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
         raise SizeTooSmall(depth_cap, 1, "depth_cap")
     if not is_indecomposable(matching):
         raise NotIndecomposable()
-    tree = tuple(_pin_nodes(matching, depth_cap))
-    return PinTree(matching, tuple(n for n, _ in tree), tuple(p for _, p in tree))
+    nodes = tuple(_pin_nodes(matching, depth_cap))
+    index = {node: i for i, node in enumerate(nodes)}
+    return PinTree(matching, nodes, tuple(index.get(node[1:], -1) for node in nodes))

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import Edge, Matching, is_indecomposable
-from .enumeration import _host_shards, _partner_tables, _run_shards
+from .enumeration import _host_shards, _hosts, _run_shards
 from .errors import (
     InvariantViolation,
     MatchingError,
@@ -122,13 +122,14 @@ def _witness(matching: Matching, b: Bounds) -> WitnessReport:
         ):
             found = extract_from_crossed_edge(matching, Edge(left, right), b.k)
             return WitnessReport(b, matching.n, found, None)
-    # Nodes come shortest first; max keeps the first node of each length.
+    # Nodes come shortest first, so deepest is the first node of its length.
     deepest: tuple[Edge, ...] = ()
-    for node, _ in _pin_nodes(matching, b.k):
+    for node in _pin_nodes(matching, b.k):
         if len(node) == b.k:
             found = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, node)
             return WitnessReport(b, matching.n, found, None)
-        deepest = max(deepest, node, key=len)
+        if len(node) > len(deepest):
+            deepest = node
     if matching.n >= b.tree_bound:
         raise InvariantViolation(
             f"{matching.n} edges with no witness at k={b.k} contradicts "
@@ -169,10 +170,7 @@ def _verify_shard(args: tuple[int, int, int]) -> tuple[Counter[str], list[str]]:
     b = bounds(k)
     tally: Counter[str] = Counter()
     failures: list[str] = []
-    for partner in _partner_tables(n, first_partner):
-        if partner is None:
-            continue
-        matching = Matching(partner)
+    for matching in _hosts(n, first_partner):
         tally["checked"] += 1
         try:
             # The stream decided indecomposability.
@@ -180,16 +178,9 @@ def _verify_shard(args: tuple[int, int, int]) -> tuple[Counter[str], list[str]]:
         except MatchingError as exc:
             failures.append(f"{matching}: witness raised {exc!r}")
             continue
-        # A Witness verified itself when _witness built it.
-        if report.witness is not None:
-            tally[report.witness.kind.value] += 1
-        elif report.edge_count >= report.bounds.tree_bound:
-            failures.append(
-                f"{matching}: below threshold with {report.edge_count} edges, "
-                f"bound {report.bounds.tree_bound}"
-            )
-        else:
-            tally["below_threshold"] += 1
+        # _witness verified its Witness when building it, and raised on a
+        # below-threshold outcome at or past the tree bound.
+        tally[report.witness.kind.value if report.found else "below_threshold"] += 1
     return tally, failures
 
 

@@ -331,7 +331,7 @@ def test_cmd_verify_cert_reports_mistyped_fields(capsys, tmp_path):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_below_threshold_certificate_tampering():
+def test_below_threshold_certificate_tampering(capsys, monkeypatch):
     crossing = make_matching([(1, 3), (2, 4)])
     doc = certificate_document(witness(crossing, 3), crossing)
 
@@ -345,6 +345,20 @@ def test_below_threshold_certificate_tampering():
     })
     with pytest.raises(InvariantViolation, match="long enough"):
         verify_certificate(big)
+
+    # A host at the tree bound cannot be below threshold, even with a
+    # consistent edge_count, correct bounds and no partial pins.
+    forged = {
+        "schema_version": 1, "kind": "below_threshold", "k": 2, "host": "1-5 2-6 3-7 4-8",
+        "edge_count": 4, "edges": [], "size": 0,
+        "bounds": {"stated": "256", "crossing_threshold": "4", "tree_bound": "4"},
+    }
+    with pytest.raises(InvariantViolation, match="below_threshold claimed with 4 edges >= bound 4"):
+        verify_certificate(forged)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(forged)))
+    assert main(["verify-cert", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_render_svg_crossing_geometry():
@@ -411,6 +425,11 @@ def test_cmd_witness_text(capsys):
     assert "kind: proper_pin_sequence" in out
     assert "edges: 1-3 2-4" in out
     assert "bounds: stated=256 crossing_threshold=4 tree_bound=4" in out
+
+    assert main(["witness", "5-11 1-10 2-9 3-8 4-7 6-12", "-k", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "kind: broken_nesting" in out
+    assert "side: right  breaker: 5-11" in out.splitlines()
 
 
 def test_cmd_witness_json_verifies(capsys):
@@ -505,6 +524,20 @@ def test_cmd_render_and_verify_cert_files(capsys, tmp_path):
     assert out_svg.read_text(encoding="utf-8") == (DATA / "interleaving8.svg").read_text(
         encoding="utf-8"
     )
+
+
+def test_cmd_render_prints_the_svg_without_an_output_file(capsys):
+    assert main(["render", "ABAB"]) == 0
+    assert capsys.readouterr().out == render_svg(parse_matching("ABAB"))
+
+
+def test_cmd_render_refuses_a_certificate_without_edges(capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    doc = _valid_doc()
+    del doc["edges"]
+    cert.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["render", "1-3 2-4", "--witness", str(cert)]) == 1
+    assert capsys.readouterr().err == "error: certificate lacks an edge list\n"
 
 
 def test_cmd_verify_cert_stdin(capsys, monkeypatch):

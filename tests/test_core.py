@@ -99,6 +99,10 @@ def test_make_matching_rejects_bad_input():
         ([(1.0, 2.0)], "(1.0, 2.0)"),
         ([(True, 2)], "(True, 2)"),
         ([(3, 4), (2, True)], "(2, True)"),
+        ([(1, 3), (2, False)], "(2, False)"),
+        ([(2, 1), (3, True)], "(3, True)"),
+        ([("x", "x")], "('x', 'x')"),
+        ([(1.0, 1.0)], "(1.0, 1.0)"),
         (iter([(1, 2), (3,), (4, 5)]), "(3,)"),
     ]:
         with pytest.raises(MatchingError) as exc:

@@ -325,7 +325,7 @@ def test_pin_tree_and_grow_match_the_reference_on_every_small_host():
 def test_early_stopped_pin_nodes_decide_depth_k_like_the_full_tree():
     for m in small_indecomposables(6):
         for k in (2, 3, 4, 5):
-            early = any(len(node) == k for node, _ in _pin_nodes(m, k))
+            early = any(len(node) == k for node in _pin_nodes(m, k))
             assert early == (build_pin_tree(m, k).max_length >= k), (m, k)
 
 

@@ -2,6 +2,7 @@
 tiny size and exit 0, and every function perfbench traces still exists
 under its name."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -97,6 +98,26 @@ def test_census_table_names_the_flag_past_the_cap():
     done = run_script("census_table.py", "-n", "10")
     assert done.returncode == 1
     assert "--allow-large" in done.stderr
+
+
+def test_runtime_imports_only_the_standard_library():
+    package = ROOT / "src" / "indematch"
+    siblings = {p.stem for p in package.glob("*.py")}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            elif isinstance(node, ast.ImportFrom):
+                # A relative import stays inside the package, which is flat.
+                assert node.level == 1, (path.name, node.lineno)
+                assert node.module is None or node.module in siblings, (path.name, node.lineno)
+                continue
+            else:
+                continue
+            for top in tops:
+                assert top in sys.stdlib_module_names, (path.name, node.lineno, top)
 
 
 def test_every_workload_sets_up_with_a_clean_warm_up(monkeypatch):
