@@ -20,6 +20,7 @@ from .core import (
     Matching,
     as_edge,
     find_intervals,
+    is_indecomposable,
     make_matching,
 )
 from .enumeration import census, check_census, scan_avoiders
@@ -61,15 +62,16 @@ def parse_matching(text: str) -> Matching:
     return _parse_chord_word(text)
 
 
-# An a-b token, with both endpoints as groups, or any other run of
-# non-space text, whose groups are then empty.
-_EDGE_TOKEN = re.compile(r"(\d+)-(\d+)(?!\S)|\S+")
+# An a-b token, with both endpoints as groups.
+_EDGE_TOKEN = re.compile(r"(\d+)-(\d+)")
+# Text made of a-b tokens alone, separated by whitespace.
+_EDGE_LIST = re.compile(r"\s*\d+-\d+(?:\s+\d+-\d+)*\s*")
 
 
 def _parse_pair(token: str, pos: int) -> tuple[int, int]:
     """The endpoints of an a-b token found at 1-based offset pos."""
     match = _EDGE_TOKEN.fullmatch(token)
-    if match is None or match.group(1) is None:
+    if match is None:
         raise ParseError(f"expected a-b, got {token!r}", pos)
     try:
         return int(match.group(1)), int(match.group(2))
@@ -78,16 +80,19 @@ def _parse_pair(token: str, pos: int) -> tuple[int, int]:
 
 
 def _parse_edge_list(text: str) -> Matching:
-    # Every token parses before make_matching checks the vertex set.  A
-    # token that is not a-b yields ('', ''), so int() fails on it as on an
-    # overlong number; only then is the text walked again, token by token,
-    # to report the first bad one at its offset.
-    try:
-        pairs = [(int(a), int(b)) for a, b in _EDGE_TOKEN.findall(text)]
-    except ValueError:
-        for match in re.finditer(r"\S+", text):
-            _parse_pair(match.group(), match.start() + 1)
-        raise
+    # Every token parses before make_matching checks the vertex set.  Text
+    # of a-b tokens alone is read as one run of numbers, where int() fails
+    # only past its digit limit.  Any other text, or that failure, is
+    # walked token by token, which reports the first bad token at its offset.
+    pairs = None
+    if _EDGE_LIST.fullmatch(text):
+        ends = map(int, text.replace("-", " ").split())
+        try:
+            pairs = list(zip(ends, ends))
+        except ValueError:
+            pass
+    if pairs is None:
+        pairs = [_parse_pair(m.group(), m.start() + 1) for m in re.finditer(r"\S+", text)]
     return make_matching(pairs)
 
 
@@ -243,6 +248,10 @@ def verify_certificate(doc: dict) -> str:
             raise InvariantViolation(
                 f"below_threshold claimed with {host.n} edges >= bound {b.tree_bound}"
             )
+        # Only this outcome rests on the theorem's hypothesis; a found
+        # structure is one in any host.
+        if not is_indecomposable(host):
+            raise InvariantViolation("below_threshold claimed for a decomposable host")
         if len(edges) >= k:
             raise InvariantViolation("partial pin sequence is long enough to be a witness")
         if edges:

@@ -6,11 +6,25 @@ matched to ``v``.  The table form makes containment tests and relabelling
 cheap, and it is hashable, so matchings can live in sets and dict keys.
 
 Vertices are 1-based everywhere in the public interface.
+
+Cuts and intervals.  For a cut c (0 <= c <= 2n), X(c) is the set of edges
+with exactly one endpoint <= c.  A run [lo, hi] is closed under the
+matching exactly when X(lo - 1) = X(hi): an edge inside the run is in
+neither set, an edge that straddles it is in both, and an edge with one
+endpoint inside is in exactly one.  So every repeat among X(0), ..., X(2n)
+is a closed run and every closed run is a repeat, and a matching is
+indecomposable iff X(0), ..., X(2n - 1) are pairwise distinct (the repeat
+X(2n) = X(0), both empty, is the whole vertex set).  |X| changes parity at
+every step, so equal sets are at least two cuts apart: a repeat is never a
+single vertex.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import xor
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -118,43 +132,66 @@ def make_matching(pairs: Iterable[Iterable[int]]) -> Matching:
     The pairs must cover {1, ..., 2n} exactly once each.  Checks run in a
     fixed order (pair by pair, not two ints or a self loop; then range,
     duplicates, gaps) so error messages are stable for a given bad input;
-    within an edge the smaller endpoint is reported first.  The table is
-    filled in one pass that catches duplicates; the first vertex out of
-    range is looked for only once the minimum or maximum shows there is one.
+    within an edge the smaller endpoint is reported first.  Valid input is
+    recognized by one fill of the table; only input that fails it is
+    checked in that order, to name its first defect.
     """
-    if iter(pairs) is pairs:  # keep a one-shot iterator for the reread below
+    if type(pairs) not in (list, tuple):  # the fill and the checks both read them
         pairs = list(pairs)
+    size = 2 * len(pairs)
+    slots = [0] * (size + 1)  # slots[v] for vertex v; slot 0 takes no vertex
     try:
-        ends = [(a, b) for a, b in pairs]
-        for a, b in ends:
-            if a == b:
-                raise SelfLoop(a)
-        size = 2 * len(ends)
-        flat = [v for e in ends for v in e]
-        if flat and (min(flat) < 1 or max(flat) > size):
-            raise VertexOutOfRange(
-                next(v for e in ends for v in sorted(e) if not 1 <= v <= size), size
-            )
-        partner = [0] * size
-        for a, b in ends:
-            if partner[a - 1] or partner[b - 1]:
-                first, second = sorted((a, b))
-                raise DuplicateVertex(first if partner[first - 1] else second)
-            partner[a - 1] = b
-            partner[b - 1] = a
-        # False is out of range, so a bool can only be True, held as vertex 1.
-        if size and type(partner[partner[0] - 1]) is bool:
-            raise TypeError("a vertex is a bool")
-    except (TypeError, ValueError, MatchingError):  # maybe from a non-int pair
-        for pair in pairs:
-            as_edge(pair)  # raises on the first such pair, naming it
-        raise
-    # Unreachable when the earlier checks pass (2n slots, 2n distinct
-    # vertices in range), but kept as the backstop against future edits:
-    # Matching itself checks nothing.
+        for a, b in pairs:
+            slots[a] = b
+            slots[b] = a
+        del slots[0]
+        # The fill is exact.  It made 2n writes, and an index past 2n raised
+        # IndexError.  If every slot of [1, 2n] holds at least 1, each was
+        # written, so each was written once and slot 0 never.  A self loop
+        # or a vertex used twice writes one slot twice, so none occurred.
+        # Every vertex is written as a value into its partner's slot, so a
+        # vertex below 1 (0, or a negative index aliasing another slot)
+        # would be held there, and none occurred.  So each vertex of
+        # [1, 2n] was written once, with its partner.  False is below 1, so
+        # a bool can only be True, held as vertex 1 in its partner's slot.
+        if not size or (min(slots) > 0 and type(slots[slots[0] - 1]) is not bool):
+            return Matching(tuple(slots))
+    except (TypeError, ValueError, IndexError):  # not pairs of indices, or out of range
+        pass
+    edges = [as_edge(pair) for pair in pairs]  # names the first bad pair or self loop
+    for e in edges:
+        for v in e:
+            if not 1 <= v <= size:
+                raise VertexOutOfRange(v, size)
+    partner = [0] * size
+    for left, right in edges:
+        for v, w in ((left, right), (right, left)):
+            if partner[v - 1]:
+                raise DuplicateVertex(v)
+            partner[v - 1] = w
+    # Unreachable past the checks above (2n slots, 2n distinct vertices in
+    # range), but kept as the backstop against future edits: Matching
+    # itself checks nothing.
     if 0 in partner:
         raise GapInVertexSet(partner.index(0) + 1)
     return Matching(tuple(partner))
+
+
+# Fixed 62-bit vertex keys for the cut hashes of is_indecomposable:
+# _KEYS[v] is the key of vertex v (index 0 unused).  The table is redrawn
+# from the same seed when it grows, so a vertex keeps its key and every run
+# hashes alike.
+_KEY_SEED = 0x1DE_C0DE
+_KEYS: list[int] = []
+
+
+def _vertex_keys(top: int) -> list[int]:
+    """The key table, with a key for every vertex up to top."""
+    global _KEYS
+    if len(_KEYS) <= top:
+        rng = random.Random(_KEY_SEED)
+        _KEYS = [rng.getrandbits(62) for _ in range(max(2 * top, 256) + 1)]
+    return _KEYS
 
 
 def _intervals(partner: tuple[int, ...]) -> Iterator[tuple[int, int]]:
@@ -187,8 +224,31 @@ def is_indecomposable(matching: Matching) -> bool:
     """True when the matching has no nontrivial interval.
 
     The empty matching and the single edge are indecomposable by convention.
+
+    Decided in O(n) by hashing X(c) at every cut (see the module docstring):
+    H(c) is the XOR of key(v) ^ key(partner of v) over v <= c, so each edge
+    of X(c) contributes the XOR of its two vertex keys.  Equal sets hash
+    equal, so pairwise distinct H(0), ..., H(2n - 1) prove the matching
+    indecomposable.  At the first repeat H(i) = H(j) the run [i + 1, j] is
+    checked directly; a closed run proves it decomposable.  Only a run that
+    is not closed, a collision of the 62-bit keys, falls back to the sweep.
     """
-    return next(_intervals(matching.partner), None) is None
+    partner = matching.partner
+    m = len(partner)
+    keys = _vertex_keys(m)
+    # cuts[c - 1] is H(c); the last, H(m) = 0 = H(0), stands for cut 0.
+    cuts = list(accumulate(map(xor, keys[1 : m + 1], map(keys.__getitem__, partner)), xor))
+    if len(set(cuts)) == m:
+        return True
+    first = {0: 0}
+    for j, h in enumerate(cuts, start=1):  # a repeat comes before cut m
+        i = first.setdefault(h, j)
+        if i != j:
+            break
+    run = partner[i:j]
+    if min(run) > i and max(run) <= j:
+        return False
+    return next(_intervals(partner), None) is None
 
 
 def _induced_partner(subset: tuple[Edge, ...]) -> tuple[int, ...]:

@@ -7,18 +7,12 @@ is matched recursively the same way.  That order equals lexicographic order
 of the partner tables, and fixing the partner of vertex 1 splits the stream
 into 2n - 1 independent shards for parallel scans.
 
-The stream decides indecomposability as it completes each table.  For a
-cut c (0 <= c <= 2n), X(c) is the set of edges with exactly one endpoint
-<= c, and the signature S(c), the XOR of 1 << (left endpoint of its edge)
-over the vertices <= c, is the bitmask of X(c).  A run [lo, hi] is closed
-under the matching exactly when X(lo - 1) = X(hi): an edge inside the run
-is in neither set, an edge that straddles it is in both, and an edge with
-one endpoint inside is in exactly one.  So every repeated signature is a
-closed interval and every closed interval is a repeat, and a matching is
-indecomposable iff S(0), ..., S(2n - 1) are pairwise distinct (S(2n) =
-S(0) = 0 is the whole vertex set).  |X| changes parity at every step, so
-equal signatures are at least two cuts apart: a repeat is never a single
-vertex.
+The stream decides indecomposability as it completes each table, by the
+cut lemma in core's module docstring: a matching is indecomposable iff
+the edge sets X(0), ..., X(2n - 1) are pairwise distinct.  Here the
+signature S(c), the XOR of 1 << (left endpoint of its edge) over the
+vertices <= c, is the bitmask of X(c), so S repeats exactly where X does,
+and never at two adjacent cuts.
 
 All vertices below the smallest free vertex are matched, so their cuts are
 final.  Each pairing extends S over the cuts it finishes and looks each one

@@ -127,6 +127,14 @@ def longest_monotone(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int,
     return _longest_run(values), _longest_run([-v for v in values])
 
 
+def _crossers(
+    partner: tuple[int, ...], left: int, right: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """crossers of the edge left-right, as int pairs, on a trusted edge."""
+    inside = list(enumerate(partner[left : right - 1], start=left + 1))
+    return sorted((p, v) for v, p in inside if p < left), [(v, p) for v, p in inside if p > right]
+
+
 def crossers(matching: Matching, e: Edge) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
     """Edges crossing e, split by side and sorted by left endpoint.
 
@@ -137,12 +145,8 @@ def crossers(matching: Matching, e: Edge) -> tuple[tuple[Edge, ...], tuple[Edge,
     """
     if not matching.has_edge(e):
         raise UnknownEdge(e)
-    left, right = e
-    inside = list(enumerate(matching.partner[left : right - 1], start=left + 1))
-    return (
-        tuple(sorted(Edge(p, v) for v, p in inside if p < left)),
-        tuple(Edge(v, p) for v, p in inside if p > right),
-    )
+    left, right = _crossers(matching.partner, *e)
+    return tuple(map(Edge._make, left)), tuple(map(Edge._make, right))
 
 
 @dataclass(frozen=True)
@@ -213,20 +217,25 @@ def extract_from_crossed_edge(matching: Matching, e: Edge, k: int) -> Witness:
     """
     if k < 2:
         raise SizeTooSmall(k, 2, "target size")
-    left, right = crossers(matching, e)
+    if not matching.has_edge(e):
+        raise UnknownEdge(e)
+    left, right = _crossers(matching.partner, *e)
     side = Side.LEFT if len(left) >= len(right) else Side.RIGHT
     chosen = left if side is Side.LEFT else right
-    incr, decr = longest_monotone(tuple(f.right for f in chosen))
+    # Right endpoints of distinct edges are distinct: no DuplicateValue check.
+    ends = [b for _, b in chosen]
+    incr = _longest_run(ends)
     if len(incr) >= k:
         return Witness(
             WitnessKind.INTERLEAVING,
             matching,
-            tuple(chosen[i] for i in incr[:k]),
+            tuple(Edge(*chosen[i]) for i in incr[:k]),
         )
+    decr = _longest_run([-b for b in ends])
     if len(decr) >= k - 1:
         # The breaker's endpoint inside the nest sits inside the innermost
         # chain edge, so any k-1 of the chain work; keep the innermost.
-        nest = tuple(chosen[i] for i in decr[len(decr) - (k - 1) :])
+        nest = tuple(Edge(*chosen[i]) for i in decr[len(decr) - (k - 1) :])
         witness_side = Side.RIGHT if side is Side.LEFT else Side.LEFT
         return Witness(
             WitnessKind.BROKEN_NESTING,

@@ -41,11 +41,13 @@ from indematch.errors import (
     DuplicatePin,
     DuplicateVertex,
     GapInVertexSet,
+    InsufficientCrossers,
     InvariantViolation,
     MatchingError,
     NotIndecomposable,
     NotRightReaching,
     ParseError,
+    SelfLoop,
     SizeTooSmall,
     UnknownEdge,
     VertexOutOfRange,
@@ -449,6 +451,87 @@ def reference_parse_edge_list(text: str) -> Matching:
     return reference_make_matching(pairs)
 
 
+# make_matching and the edge-list reader as they were before valid input
+# was read in one fill: the pairs checked in order inside one pass, and
+# the tokens read by findall.  The package must return exactly what these
+# return, errors and their precedence included.
+
+
+def reference_ordered_make_matching(pairs: Iterable[Iterable[int]]) -> Matching:
+    """Build a Matching from endpoint pairs, validating as we go.
+
+    The pairs must cover {1, ..., 2n} exactly once each.  Checks run in a
+    fixed order (pair by pair, not two ints or a self loop; then range,
+    duplicates, gaps) so error messages are stable for a given bad input;
+    within an edge the smaller endpoint is reported first.  The table is
+    filled in one pass that catches duplicates; the first vertex out of
+    range is looked for only once the minimum or maximum shows there is one.
+    """
+    if iter(pairs) is pairs:  # keep a one-shot iterator for the reread below
+        pairs = list(pairs)
+    try:
+        ends = [(a, b) for a, b in pairs]
+        for a, b in ends:
+            if a == b:
+                raise SelfLoop(a)
+        size = 2 * len(ends)
+        flat = [v for e in ends for v in e]
+        if flat and (min(flat) < 1 or max(flat) > size):
+            raise VertexOutOfRange(
+                next(v for e in ends for v in sorted(e) if not 1 <= v <= size), size
+            )
+        partner = [0] * size
+        for a, b in ends:
+            if partner[a - 1] or partner[b - 1]:
+                first, second = sorted((a, b))
+                raise DuplicateVertex(first if partner[first - 1] else second)
+            partner[a - 1] = b
+            partner[b - 1] = a
+        # False is out of range, so a bool can only be True, held as vertex 1.
+        if size and type(partner[partner[0] - 1]) is bool:
+            raise TypeError("a vertex is a bool")
+    except (TypeError, ValueError, MatchingError):  # maybe from a non-int pair
+        for pair in pairs:
+            as_edge(pair)  # raises on the first such pair, naming it
+        raise
+    # Unreachable when the earlier checks pass (2n slots, 2n distinct
+    # vertices in range), but kept as the backstop against future edits:
+    # Matching itself checks nothing.
+    if 0 in partner:
+        raise GapInVertexSet(partner.index(0) + 1)
+    return Matching(tuple(partner))
+
+
+# An a-b token, with both endpoints as groups, or any other run of
+# non-space text, whose groups are then empty.
+_REFERENCE_EDGE_TOKEN = re.compile(r"(\d+)-(\d+)(?!\S)|\S+")
+
+
+def _reference_findall_parse_pair(token: str, pos: int) -> tuple[int, int]:
+    """The endpoints of an a-b token found at 1-based offset pos."""
+    match = _REFERENCE_EDGE_TOKEN.fullmatch(token)
+    if match is None or match.group(1) is None:
+        raise ParseError(f"expected a-b, got {token!r}", pos)
+    try:
+        return int(match.group(1)), int(match.group(2))
+    except ValueError:  # past the digit limit of int(); no vertex is that large
+        raise ParseError(f"vertex number too long in {token[:24]!r}...", pos) from None
+
+
+def reference_findall_parse_edge_list(text: str) -> Matching:
+    # Every token parses before make_matching checks the vertex set.  A
+    # token that is not a-b yields ('', ''), so int() fails on it as on an
+    # overlong number; only then is the text walked again, token by token,
+    # to report the first bad one at its offset.
+    try:
+        pairs = [(int(a), int(b)) for a, b in _REFERENCE_EDGE_TOKEN.findall(text)]
+    except ValueError:
+        for match in re.finditer(r"\S+", text):
+            _reference_findall_parse_pair(match.group(), match.start() + 1)
+        raise
+    return reference_ordered_make_matching(pairs)
+
+
 def reference_crossers(matching: Matching, e: Edge) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
     """Edges crossing e, split by side and sorted by left endpoint.
 
@@ -465,6 +548,47 @@ def reference_crossers(matching: Matching, e: Edge) -> tuple[tuple[Edge, ...], t
         elif e.left < f.left < e.right < f.right:
             right.append(f)
     return tuple(left), tuple(right)
+
+
+def reference_extract_from_crossed_edge(matching: Matching, e: Edge, k: int) -> Witness:
+    """Pull a size-k structure out of the crossers of a single edge.
+
+    Take the side of e with more crossers (ties go left), order them by
+    left endpoint and look at their right endpoints: an increasing run of k
+    is an interleaving on its own; a decreasing run of k-1 is a nested
+    chain which e breaks, giving a size-k broken nesting.  With at least
+    (k-1)^2 + 1 same-side crossers one of the two runs is guaranteed; with
+    fewer this is best effort and may raise.
+    """
+    if k < 2:
+        raise SizeTooSmall(k, 2, "target size")
+    left, right = crossers(matching, e)
+    side = Side.LEFT if len(left) >= len(right) else Side.RIGHT
+    chosen = left if side is Side.LEFT else right
+    incr, decr = longest_monotone(tuple(f.right for f in chosen))
+    if len(incr) >= k:
+        return Witness(
+            WitnessKind.INTERLEAVING,
+            matching,
+            tuple(chosen[i] for i in incr[:k]),
+        )
+    if len(decr) >= k - 1:
+        # The breaker's endpoint inside the nest sits inside the innermost
+        # chain edge, so any k-1 of the chain work; keep the innermost.
+        nest = tuple(chosen[i] for i in decr[len(decr) - (k - 1) :])
+        witness_side = Side.RIGHT if side is Side.LEFT else Side.LEFT
+        return Witness(
+            WitnessKind.BROKEN_NESTING,
+            matching,
+            (e,) + nest,
+            side=witness_side,
+            breaker=e,
+        )
+    raise InsufficientCrossers(
+        f"{len(chosen)} crossers on the heavier side of {e}: "
+        f"longest runs {len(incr)} increasing / {len(decr)} decreasing "
+        f"cannot reach size {k}"
+    )
 
 
 def reference_longest_run(

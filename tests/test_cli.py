@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from indematch import (
     Edge,
     PatternKind,
+    bounds,
     canonical,
     make_matching,
     witness,
 )
 from indematch.cli import (
+    _bounds_field,
     _label,
     certificate_document,
     format_matching,
@@ -35,7 +37,7 @@ from indematch.errors import (
 
 from indematch.ramsey import K_CAP
 
-from helpers import matchings, reference_parse_edge_list
+from helpers import matchings, reference_findall_parse_edge_list, reference_parse_edge_list
 
 CHAIN = make_matching([(3, 5), (4, 7), (1, 6), (2, 8)])
 INT4 = canonical(PatternKind.INTERLEAVING, 4)
@@ -100,7 +102,7 @@ def _parse_outcome(parse, text):
 
 EDGE_TEXT_PIECES = st.sampled_from(
     ["1", "2", "3", "4", "12", "0", "-", " ", "  ", "\t", "\n", "\u00a0", "x", "\u0663",
-     "9" * 4301]
+     "9" * 4301, "1-2", "3-4"]
 )
 
 
@@ -114,11 +116,13 @@ EDGE_TEXT_PIECES = st.sampled_from(
         matchings(min_n=1, max_n=8).map(str),
     )
 )
+@example("1-23-4")
+@example("1-2 3-4-")
 def test_parse_matching_matches_the_reference_on_fuzzed_edge_lists(text):
     assume("-" in text and text.strip())
-    assert _parse_outcome(parse_matching, text) == _parse_outcome(
-        reference_parse_edge_list, text
-    )
+    got = _parse_outcome(parse_matching, text)
+    assert got == _parse_outcome(reference_parse_edge_list, text)
+    assert got == _parse_outcome(reference_findall_parse_edge_list, text)
 
 
 def test_parse_semantic_errors_are_not_parse_errors():
@@ -354,6 +358,25 @@ def test_below_threshold_certificate_tampering(capsys, monkeypatch):
         "bounds": {"stated": "256", "crossing_threshold": "4", "tree_bound": "4"},
     }
     with pytest.raises(InvariantViolation, match="below_threshold claimed with 4 edges >= bound 4"):
+        verify_certificate(forged)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(forged)))
+    assert main(["verify-cert", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "host, k, partial",
+    [("1-2 3-4", 2, []), ("1-2 3-5 4-6", 3, [[3, 5], [4, 6]])],
+)
+def test_below_threshold_certificate_for_a_decomposable_host(capsys, monkeypatch, host, k, partial):
+    # witness refuses these hosts; the theorem says nothing about them.
+    forged = {
+        "schema_version": 1, "kind": "below_threshold", "k": k, "host": host,
+        "edge_count": len(host.split()), "edges": partial, "size": len(partial),
+        "bounds": _bounds_field(bounds(k)),
+    }
+    with pytest.raises(InvariantViolation, match="below_threshold claimed for a decomposable host"):
         verify_certificate(forged)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(forged)))
     assert main(["verify-cert", "-"]) == 1

@@ -1,5 +1,6 @@
 from itertools import combinations, product
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 from indematch import (
     Edge,
     Matching,
+    PatternKind,
     Segment,
+    all_matchings,
     as_edge,
+    canonical_edges,
     find_intervals,
     is_indecomposable,
     make_matching,
@@ -23,6 +27,7 @@ from indematch.errors import (
     VertexOutOfRange,
 )
 
+from indematch import core
 from helpers import (
     Relation,
     SharedVertex,
@@ -31,6 +36,8 @@ from helpers import (
     matchings,
     oracle_intervals,
     random_matching,
+    reference_is_indecomposable_partner,
+    reference_ordered_make_matching,
     reverse,
 )
 
@@ -152,6 +159,51 @@ def test_make_matching_is_the_boundary_random(pairs):
     _assert_boundary_holds(pairs)
 
 
+def _outcome(build, *args):
+    """What build returned, or the type and text of what it raised."""
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_ODD_VERTICES = st.sampled_from([0, -1, -3, True, False, 1.0, "1", "\u0663", 10**4400])
+
+
+@st.composite
+def _mutated_pair_lists(draw, max_n: int = 6):
+    """A shuffled cover of [2n] with up to three defects: an odd or out of
+    range vertex, a repeated vertex, a self loop, a 1- or 3-tuple."""
+    n = draw(st.integers(0, max_n))
+    flat = draw(st.permutations(range(1, 2 * n + 1)))
+    pairs = [list(flat[2 * i : 2 * i + 2]) for i in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        pair = pairs[draw(st.integers(0, n - 1))]
+        defect = draw(st.sampled_from(["vertex", "range", "repeat", "loop", "short", "long"]))
+        if defect == "short":
+            del pair[1:]
+        elif defect == "long":
+            pair.append(draw(st.integers(1, 2 * n)))
+        elif defect == "loop":
+            pair[1:] = pair[:1]
+        else:
+            pair[-1] = draw({
+                "vertex": _ODD_VERTICES,
+                "range": st.sampled_from([0, -1, -2 * n - 1, -2 * n - 2, 2 * n + 1]),
+                "repeat": st.integers(1, 2 * n),
+            }[defect])
+    return [tuple(pair) for pair in pairs]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_mutated_pair_lists(), st.booleans())
+def test_make_matching_matches_the_ordered_reference(pairs, one_shot):
+    given_as = iter if one_shot else list
+    assert _outcome(make_matching, given_as(pairs)) == _outcome(
+        reference_ordered_make_matching, given_as(pairs)
+    )
+
+
 def test_edge_relation():
     assert edge_relation(Edge(1, 3), Edge(2, 4)) is Relation.CROSSING
     assert edge_relation(Edge(2, 4), Edge(1, 3)) is Relation.CROSSING
@@ -189,6 +241,47 @@ def test_find_intervals_matches_oracle_exhaustively():
 @given(matchings(max_n=8))
 def test_find_intervals_matches_oracle_random(m):
     assert find_intervals(m) == oracle_intervals(m)
+
+
+def test_is_indecomposable_matches_the_sweep_exhaustively():
+    for n in range(8):
+        for m in all_matchings(n):
+            assert is_indecomposable(m) == reference_is_indecomposable_partner(m.partner), str(m)
+
+
+@settings(max_examples=200)
+@given(matchings(max_n=60))
+def test_is_indecomposable_matches_the_sweep_random(m):
+    assert is_indecomposable(m) == reference_is_indecomposable_partner(m.partner)
+
+
+def test_is_indecomposable_sweeps_only_on_a_hash_collision(monkeypatch):
+    sweeps = []
+    sweep = core._intervals
+    monkeypatch.setattr(core, "_intervals", lambda partner: sweeps.append(partner) or sweep(partner))
+    small = [m for n in range(7) for m in all_matchings(n)]
+    for m in small:
+        assert is_indecomposable(m) == reference_is_indecomposable_partner(m.partner), str(m)
+    assert sweeps == []
+    # With every key 0 every cut collides with cut 0, the run [1, 1] is
+    # never closed, and each nonempty host is decided by the sweep.
+    monkeypatch.setattr(core, "_KEYS", [0] * 13)
+    for m in small:
+        assert is_indecomposable(m) == reference_is_indecomposable_partner(m.partner), str(m)
+    assert len(sweeps) == len(small) - 1
+
+
+@pytest.mark.parametrize("closed_pair", [False, True])
+def test_is_indecomposable_is_linear_on_a_long_broken_nesting(closed_pair):
+    # The sweep is quadratic on these hosts: tens of seconds at this size.
+    n = 20000
+    edges = canonical_edges(PatternKind.RIGHT_BROKEN_NESTING, n)
+    if closed_pair:  # the run [n + 1, n + 2] becomes closed
+        edges = [tuple(v + 2 * (v > n) for v in e) for e in edges] + [(n + 1, n + 2)]
+    m = make_matching(edges)
+    start = time.perf_counter()
+    assert is_indecomposable(m) is not closed_pair
+    assert time.perf_counter() - start < 2
 
 
 def test_subpattern_relabels():

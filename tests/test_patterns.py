@@ -37,6 +37,7 @@ from helpers import (
     oracle_increasing_length,
     oracle_max_size,
     reference_crossers,
+    reference_extract_from_crossed_edge,
     reference_longest_run,
     reference_max_pattern,
     reference_witness_verify,
@@ -346,6 +347,24 @@ def test_extract_failures():
     nest = canonical(PatternKind.NESTING, 3)
     with pytest.raises(InsufficientCrossers, match="0 crossers"):
         extract_from_crossed_edge(nest, Edge(2, 5), 2)
+
+
+def _extract_outcome(extract, m, e, k):
+    """The Witness extracted, or the type and text of the error raised."""
+    try:
+        return extract(m, e, k)
+    except MatchingError as exc:
+        return type(exc), str(exc)
+
+
+def test_extract_matches_the_reference_on_every_small_edge():
+    for n in range(1, 7):
+        for m in all_matchings(n):
+            for e in m.edges():
+                for k in range(2, 6):
+                    assert _extract_outcome(extract_from_crossed_edge, m, e, k) == (
+                        _extract_outcome(reference_extract_from_crossed_edge, m, e, k)
+                    ), (str(m), e, k)
 
 
 def test_extract_guarantee_with_enough_crossers():

@@ -5,6 +5,7 @@ under its name."""
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -132,6 +133,21 @@ def test_every_workload_sets_up_with_a_clean_warm_up(monkeypatch):
     for name in workloads.NAMES:
         _, _, problems, _ = workloads.setup(name, 1)
         assert problems == [], name
+
+
+@pytest.mark.parametrize("workload", ["certify", "chains"])
+def test_bench_runs_a_short_workload_correctly(workload):
+    # The benchmark's own output checks, end to end, at one second.
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "1", "--trace", "0"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0, summary
 
 
 def test_every_traced_function_resolves():
