@@ -34,6 +34,7 @@ from .errors import (
     SelfLoop,
     UnknownEdge,
     VertexOutOfRange,
+    _show,
 )
 
 
@@ -54,7 +55,7 @@ def as_edge(pair: Iterable[int]) -> Edge:
     except (TypeError, ValueError):
         a = b = None
     if not (isinstance(a, int) and isinstance(b, int)) or bool in (type(a), type(b)):
-        raise MatchingError(f"endpoint pair {pair!r} is not two integers")
+        raise MatchingError(f"endpoint pair {_show(pair, repr)} is not two integers")
     if a == b:
         raise SelfLoop(a)
     return Edge(a, b) if a < b else Edge(b, a)
@@ -124,6 +125,19 @@ class Matching:
         return " ".join(
             f"{v}-{w}" for v, w in enumerate(self.partner, start=1) if v < w
         )
+
+
+def _crossers(partner: tuple[int, ...], left: int, right: int) -> tuple[list, list]:
+    """Crossers of the trusted edge left-right as int pairs, left ones then
+    right ones, each sorted by left endpoint, read between left and right."""
+    lefts, rights = [], []
+    for v, p in enumerate(partner[left : right - 1], start=left + 1):
+        if p > right:
+            rights.append((v, p))
+        elif p < left:
+            lefts.append((p, v))
+    lefts.sort()
+    return lefts, rights
 
 
 def make_matching(pairs: Iterable[Iterable[int]]) -> Matching:

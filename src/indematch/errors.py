@@ -6,6 +6,19 @@ callers (and the CLI) can catch one class and report a one-line diagnostic.
 
 from __future__ import annotations
 
+import sys
+from typing import Callable
+
+
+def _show(value: object, show: Callable[[object], str] = str) -> str:
+    """show(value) for a message, or a stand-in when value holds an int past
+    the int-to-str digit limit, so that building the message cannot raise."""
+    try:
+        return show(value)
+    except ValueError:
+        held = "" if isinstance(value, int) else "holding "
+        return f"<{held}an integer of more than {sys.get_int_max_str_digits()} digits>"
+
 
 class MatchingError(Exception):
     """Base class for all errors raised by this package."""
@@ -13,19 +26,19 @@ class MatchingError(Exception):
 
 class SelfLoop(MatchingError):
     def __init__(self, vertex: int) -> None:
-        super().__init__(f"vertex {vertex} is paired with itself")
+        super().__init__(f"vertex {_show(vertex)} is paired with itself")
         self.vertex = vertex
 
 
 class DuplicateVertex(MatchingError):
     def __init__(self, vertex: int) -> None:
-        super().__init__(f"vertex {vertex} is used by more than one edge")
+        super().__init__(f"vertex {_show(vertex)} is used by more than one edge")
         self.vertex = vertex
 
 
 class VertexOutOfRange(MatchingError):
     def __init__(self, vertex: int, size: int) -> None:
-        super().__init__(f"vertex {vertex} lies outside [1, {size}]")
+        super().__init__(f"vertex {_show(vertex)} lies outside [1, {size}]")
         self.vertex = vertex
         self.size = size
 
@@ -38,13 +51,13 @@ class GapInVertexSet(MatchingError):
 
 class UnknownEdge(MatchingError):
     def __init__(self, edge) -> None:
-        super().__init__(f"edge {edge} is not an edge of the matching")
+        super().__init__(f"edge {_show(edge)} is not an edge of the matching")
         self.edge = edge
 
 
 class DuplicatePin(MatchingError):
     def __init__(self, edge) -> None:
-        super().__init__(f"pin {edge} occurs more than once in the sequence")
+        super().__init__(f"pin {_show(edge)} occurs more than once in the sequence")
         self.edge = edge
 
 
@@ -60,14 +73,14 @@ class NotRightReaching(MatchingError):
 
 class SizeTooSmall(MatchingError, ValueError):
     def __init__(self, value: int, minimum: int, what: str = "size") -> None:
-        super().__init__(f"{what} {value} is below the minimum {minimum}")
+        super().__init__(f"{what} {_show(value)} is below the minimum {minimum}")
         self.value = value
         self.minimum = minimum
 
 
 class DuplicateValue(MatchingError):
     def __init__(self, value) -> None:
-        super().__init__(f"value {value} occurs more than once")
+        super().__init__(f"value {_show(value)} occurs more than once")
         self.value = value
 
 
@@ -79,7 +92,7 @@ class SizeCapExceeded(MatchingError):
     def __init__(self, n: int, cap: int, message: str | None = None) -> None:
         super().__init__(
             message
-            or f"n={n} exceeds the soft cap of {cap}; "
+            or f"n={_show(n)} exceeds the soft cap of {cap}; "
             "pass allow_large=True (--allow-large) to override"
         )
         self.n = n

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .core import Edge, Matching, make_matching
+from .core import Edge, Matching, _crossers, make_matching
 from .errors import (
     DuplicateValue,
     InsufficientCrossers,
@@ -125,14 +125,6 @@ def longest_monotone(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int,
             raise DuplicateValue(v)
         seen.add(v)
     return _longest_run(values), _longest_run([-v for v in values])
-
-
-def _crossers(
-    partner: tuple[int, ...], left: int, right: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """crossers of the edge left-right, as int pairs, on a trusted edge."""
-    inside = list(enumerate(partner[left : right - 1], start=left + 1))
-    return sorted((p, v) for v, p in inside if p < left), [(v, p) for v, p in inside if p > right]
 
 
 def crossers(matching: Matching, e: Edge) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:

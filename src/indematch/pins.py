@@ -11,9 +11,10 @@ touches the greatest vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
-from .core import Edge, Matching, is_indecomposable
+from .core import Edge, Matching, _crossers, is_indecomposable
 from .errors import (
     DuplicatePin,
     InvariantViolation,
@@ -200,7 +201,9 @@ class PinTree:
 
     nodes[0] is the root (the single edge touching the greatest vertex);
     parents[i] indexes the node obtained by dropping the first pin, -1 for
-    the root.  Nodes appear in breadth-first order.
+    the root.  Nodes appear in breadth-first order: by length, and within a
+    length in the order of their candidate sequences from the root, with
+    candidate edges in (left, right) order.
     """
 
     host: Matching
@@ -212,54 +215,72 @@ class PinTree:
         return max((len(node) for node in self.nodes), default=0)
 
 
-def _pin_nodes(matching: Matching, depth_cap: int) -> Iterator[tuple[Edge, ...]]:
-    """Each node of the pin tree capped at depth_cap, lazily, in
-    breadth-first order, on a trusted host.
+def _pin_nodes(matching: Matching, depth_cap: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Each node of the pin tree capped at depth_cap, as int pairs, lazily
+    and depth first, on a trusted host.
 
     Children of a node are the sequences extending it by one prepended edge;
     a suffix of a proper right-reaching sequence is again one, so every such
-    sequence of length <= depth_cap appears.  Candidate edges are tried in
-    (left, right) order, making the breadth-first node order deterministic.
+    sequence of length <= depth_cap appears.  The node's first pin must
+    split the shadow of the prepended edge, so the two cross: candidates are
+    the first pin's crossers, read when the node is expanded, in (left,
+    right) order.  The rest of the walk decides each on int bounds, carrying
+    the shadows (prev, cur): every later pin must split cur and not split
+    prev, as in _walk_pins, inlined.  A candidate already in the node lies
+    inside the shadow by the time the walk meets it and fails the split
+    test, so pins stay distinct.
 
-    Each candidate is decided by one walk over the node's pins on int
-    bounds, carrying the shadows (prev, cur) of the sequence so far: every
-    pin must split cur and not split prev, as in _walk_pins, inlined.  A
-    candidate already in the node lies inside the shadow by the time the
-    walk meets it and fails the split test, so pins stay distinct.
+    Within each length the nodes come in breadth-first order.  Breadth
+    first, each level lists the children of the level above in order, so by
+    induction it is sorted by the nodes' candidate sequences from the root,
+    compared lexicographically; depth-first pre-order visits the nodes in
+    that same order.  The stack holds at most depth_cap - 1 frames: a node,
+    its parent (the rest of the walk), its first pin and the crossers left.
     """
-    edges = matching.edges()
-    nodes = [(Edge(matching.partner[-1], matching.top),)] if edges else []
-    yield from nodes  # the root, unless the host is empty
-    # The loop reads the nodes appended while it runs.
-    for node in nodes:
-        if len(node) < depth_cap:
-            for e in edges:
-                # (plo, phi) starts as the empty segment (0, -1): no shadow
-                # precedes the candidate.
-                plo, phi = 0, -1
-                lo, hi = e
-                for a, b in node:
-                    if (lo <= a <= hi) == (lo <= b <= hi) or (
-                        (plo <= a <= phi) != (plo <= b <= phi)
-                    ):
-                        break
-                    plo, phi = lo, hi
-                    if a < lo:
-                        lo = a
-                    if b > hi:
-                        hi = b
-                else:
-                    nodes.append((e,) + node)
-                    yield nodes[-1]
+    partner = matching.partner
+    if not partner:
+        return
+    root = ((partner[-1], len(partner)),)
+    yield root
+    stack = [(root, (), *root[0], chain(*_crossers(partner, *root[0])))] if depth_cap > 1 else []
+    while stack:
+        node, rest, a0, b0, todo = stack[-1]
+        for e in todo:
+            # e crosses the first pin a0-b0, so the walk starts past it.
+            plo, phi = e
+            lo = plo if plo < a0 else a0
+            hi = phi if phi > b0 else b0
+            for a, b in rest:
+                if (lo <= a <= hi) == (lo <= b <= hi) or (
+                    (plo <= a <= phi) != (plo <= b <= phi)
+                ):
+                    break
+                plo, phi = lo, hi
+                if a < lo:
+                    lo = a
+                if b > hi:
+                    hi = b
+            else:
+                child = (e,) + node
+                yield child
+                if len(child) < depth_cap:
+                    stack.append((child, node, *e, chain(*_crossers(partner, *e))))
+                    break
+        else:
+            stack.pop()
 
 
 def build_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
     """The tree of proper right-reaching pin sequences of length at most
-    depth_cap: every node of _pin_nodes, once the cap and host are checked."""
+    depth_cap: every node of _pin_nodes, once the cap and host are checked,
+    bucketed by length into breadth-first order."""
     if depth_cap < 1:
         raise SizeTooSmall(depth_cap, 1, "depth_cap")
     if not is_indecomposable(matching):
         raise NotIndecomposable()
-    nodes = tuple(_pin_nodes(matching, depth_cap))
+    levels: list[list[tuple]] = [[] for _ in range(min(depth_cap, matching.n))]
+    for node in _pin_nodes(matching, depth_cap):
+        levels[len(node) - 1].append(node)
+    nodes = tuple(tuple(map(Edge._make, node)) for level in levels for node in level)
     index = {node: i for i, node in enumerate(nodes)}
     return PinTree(matching, nodes, tuple(index.get(node[1:], -1) for node in nodes))

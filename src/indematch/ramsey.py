@@ -24,6 +24,7 @@ from .errors import (
     NotIndecomposable,
     SizeCapExceeded,
     SizeTooSmall,
+    _show,
 )
 from .patterns import Witness, WitnessKind, extract_from_crossed_edge
 from .pins import _pin_nodes
@@ -55,7 +56,9 @@ def bounds(k: int) -> Bounds:
         raise SizeTooSmall(k, 2, "k")
     if k > K_CAP:
         raise SizeCapExceeded(
-            k, K_CAP, f"k={k} exceeds the cap of {K_CAP}: (2k)^(2k) would pass 4300 digits"
+            k,
+            K_CAP,
+            f"k={_show(k)} exceeds the cap of {K_CAP}: (2k)^(2k) would pass 4300 digits",
         )
     ratio = 2 * (k - 1) ** 2 + 1
     return Bounds(
@@ -109,33 +112,39 @@ def _witness(matching: Matching, b: Bounds) -> WitnessReport:
     Heavy-edge case first: the first edge (by endpoints) with at least
     crossing_threshold crossers feeds extract_from_crossed_edge.  Crossers
     are counted straight off the partner table, and the scan stops at that
-    edge.  Otherwise the pin tree capped at depth k is walked breadth first
-    up to its first length-k node, a witness.  Failing both, the counting
-    bound must hold, and the first deepest node is the partial witness.
+    edge.  Otherwise the pin tree capped at depth k is searched up to its
+    first length-k node, a witness.  Failing both, the counting bound must
+    hold, and the first deepest node is the partial witness.
     """
     partner = matching.partner
-    for left, right in enumerate(partner, start=1):
-        # An edge spanning fewer inner vertices than the threshold cannot
-        # have enough crossers; this also skips each edge's right endpoint.
-        if right - left > b.crossing_threshold and (
-            _crossing_count(partner, left, right) >= b.crossing_threshold
-        ):
-            found = extract_from_crossed_edge(matching, Edge(left, right), b.k)
-            return WitnessReport(b, matching.n, found, None)
-    # Nodes come shortest first, so deepest is the first node of its length.
-    deepest: tuple[Edge, ...] = ()
+    # An edge has at most n - 1 crossers, so a small host has no heavy edge.
+    if matching.n > b.crossing_threshold:
+        for left, right in enumerate(partner, start=1):
+            # An edge spanning fewer inner vertices than the threshold cannot
+            # have enough crossers; this also skips each edge's right endpoint.
+            if right - left > b.crossing_threshold and (
+                _crossing_count(partner, left, right) >= b.crossing_threshold
+            ):
+                found = extract_from_crossed_edge(matching, Edge(left, right), b.k)
+                return WitnessReport(b, matching.n, found, None)
+    # Within a length nodes come breadth first, so the first to reach a
+    # length is the breadth-first tree's first node of that length.
+    deepest: tuple[tuple[int, int], ...] = ()
     for node in _pin_nodes(matching, b.k):
-        if len(node) == b.k:
-            found = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, node)
-            return WitnessReport(b, matching.n, found, None)
         if len(node) > len(deepest):
             deepest = node
+            if len(node) == b.k:
+                break
+    pins = tuple(map(Edge._make, deepest))
+    if len(pins) == b.k:
+        found = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, pins)
+        return WitnessReport(b, matching.n, found, None)
     if matching.n >= b.tree_bound:
         raise InvariantViolation(
             f"{matching.n} edges with no witness at k={b.k} contradicts "
             f"the tree bound {b.tree_bound}"
         )
-    partial = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, deepest) if deepest else None
+    partial = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, pins) if pins else None
     return WitnessReport(b, matching.n, None, partial)
 
 
@@ -192,7 +201,9 @@ def verify_theorem(n_max: int, k: int, *, jobs: int = 1) -> TheoremReport:
         raise SizeTooSmall(n_max, 1, "n_max")
     if n_max > EXHAUSTIVE_CAP:
         raise SizeCapExceeded(
-            n_max, EXHAUSTIVE_CAP, f"n={n_max} exceeds the exhaustive cap of {EXHAUSTIVE_CAP}"
+            n_max,
+            EXHAUSTIVE_CAP,
+            f"n={_show(n_max)} exceeds the exhaustive cap of {EXHAUSTIVE_CAP}",
         )
     bounds(k)
     total: Counter[str] = Counter()

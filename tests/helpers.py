@@ -290,6 +290,52 @@ def reference_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
     return PinTree(matching, tuple(nodes), tuple(parents))
 
 
+# The breadth-first pin-tree search the depth-first one replaced, copied
+# verbatim: within each length the two must yield the same nodes in the
+# same order.
+
+
+def reference_pin_nodes(matching: Matching, depth_cap: int) -> Iterator[tuple[Edge, ...]]:
+    """Each node of the pin tree capped at depth_cap, lazily, in
+    breadth-first order, on a trusted host.
+
+    Children of a node are the sequences extending it by one prepended edge;
+    a suffix of a proper right-reaching sequence is again one, so every such
+    sequence of length <= depth_cap appears.  Candidate edges are tried in
+    (left, right) order, making the breadth-first node order deterministic.
+
+    Each candidate is decided by one walk over the node's pins on int
+    bounds, carrying the shadows (prev, cur) of the sequence so far: every
+    pin must split cur and not split prev, as in _walk_pins, inlined.  A
+    candidate already in the node lies inside the shadow by the time the
+    walk meets it and fails the split test, so pins stay distinct.
+    """
+    edges = matching.edges()
+    nodes = [(Edge(matching.partner[-1], matching.top),)] if edges else []
+    yield from nodes  # the root, unless the host is empty
+    # The loop reads the nodes appended while it runs.
+    for node in nodes:
+        if len(node) < depth_cap:
+            for e in edges:
+                # (plo, phi) starts as the empty segment (0, -1): no shadow
+                # precedes the candidate.
+                plo, phi = 0, -1
+                lo, hi = e
+                for a, b in node:
+                    if (lo <= a <= hi) == (lo <= b <= hi) or (
+                        (plo <= a <= phi) != (plo <= b <= phi)
+                    ):
+                        break
+                    plo, phi = lo, hi
+                    if a < lo:
+                        lo = a
+                    if b > hi:
+                        hi = b
+                else:
+                    nodes.append((e,) + node)
+                    yield nodes[-1]
+
+
 def reference_grow_right_reaching(matching: Matching, start: Edge) -> tuple[Edge, ...]:
     """grow_right_reaching with the split test and taken set spelled out."""
     pins = [start]

@@ -1,10 +1,12 @@
 """Every domain error derives from MatchingError and renders a one-line
 diagnostic; the CLI leans on both."""
 
+import sys
+
 import pytest
 
 from indematch import errors
-from indematch.core import Edge
+from indematch.core import Edge, as_edge, make_matching
 
 from helpers import EmptySegment
 
@@ -54,3 +56,16 @@ def test_one_except_clause_suffices():
     for cls in (errors.SelfLoop, errors.DuplicateVertex, errors.GapInVertexSet):
         with pytest.raises(errors.MatchingError):
             raise cls(3)
+
+
+def test_messages_name_integers_past_the_digit_limit():
+    # str() refuses such an int, so a message built with it would raise a
+    # bare ValueError in place of the MatchingError.
+    huge = 10**5000
+    stand_in = f"<an integer of more than {sys.get_int_max_str_digits()} digits>"
+    with pytest.raises(errors.VertexOutOfRange) as raised:
+        make_matching([(1, huge)])
+    assert str(raised.value) == f"vertex {stand_in} lies outside [1, 2]"
+    with pytest.raises(errors.SelfLoop) as raised:
+        as_edge((huge, huge))
+    assert str(raised.value) == f"vertex {stand_in} is paired with itself"

@@ -15,6 +15,7 @@ from indematch import (
     grow_right_reaching,
     make_matching,
     properize,
+    witness,
 )
 from indematch.errors import (
     DuplicatePin,
@@ -32,6 +33,7 @@ from helpers import (
     indecomposable_matchings,
     reference_classify_sequence,
     reference_grow_right_reaching,
+    reference_pin_nodes,
     reference_pin_tree,
     reference_properize,
     shadow,
@@ -327,6 +329,68 @@ def test_early_stopped_pin_nodes_decide_depth_k_like_the_full_tree():
         for k in (2, 3, 4, 5):
             early = any(len(node) == k for node in _pin_nodes(m, k))
             assert early == (build_pin_tree(m, k).max_length >= k), (m, k)
+
+
+def levels(nodes):
+    """The nodes as int pairs, listed per length in the order they came."""
+    out = {}
+    for node in nodes:
+        out.setdefault(len(node), []).append(tuple(map(tuple, node)))
+    return out
+
+
+def first_and_deepest(nodes, k):
+    """What the witness search reads off the nodes: the first of length k,
+    or failing that the first of the greatest length (the partial witness)."""
+    deepest = ()
+    for node in nodes:
+        node = tuple(map(tuple, node))
+        if len(node) == k:
+            return node, None
+        if len(node) > len(deepest):
+            deepest = node
+    return None, deepest
+
+
+def assert_search_matches_the_reference(m, k):
+    assert levels(_pin_nodes(m, k)) == levels(reference_pin_nodes(m, k)), (m, k)
+    got = first_and_deepest(_pin_nodes(m, k), k)
+    assert got == first_and_deepest(reference_pin_nodes(m, k), k), (m, k)
+    return got
+
+
+def test_depth_first_search_matches_the_breadth_first_reference_on_every_small_host():
+    below = {k: 0 for k in (2, 3, 4, 5)}
+    for m in small_indecomposables(6):
+        for k in below:
+            first, _ = assert_search_matches_the_reference(m, k)
+            below[k] += first is None
+    # At k = 3 and 4 these are verify_theorem(6, k)'s below-threshold tallies.
+    assert below == {2: 1, 3: 154, 4: 1619, 5: 2823}
+
+
+@settings(max_examples=60, deadline=None)
+@given(indecomposable_matchings(min_n=7, max_n=16))
+def test_depth_first_search_matches_the_breadth_first_reference_on_larger_hosts(m):
+    for k in (2, 3, 4, 5):
+        assert_search_matches_the_reference(m, k)
+
+
+@pytest.mark.parametrize("n", [50, 500])
+def test_depth_first_search_matches_the_breadth_first_reference_on_chains(n):
+    chain = crossing_chain(n)
+    for k in (2, 3, 4, 5):
+        assert_search_matches_the_reference(chain, k)
+
+
+def test_witness_scales_linearly_on_a_long_chain():
+    # Each expanded node reads only the crossers of its first pin.
+    chain = crossing_chain(20_000)
+    began = time.perf_counter()
+    report = witness(chain, 3)
+    elapsed = time.perf_counter() - began
+    assert report.found and len(report.witness.edges) == 3
+    assert elapsed < 2, f"witness took {elapsed:.2f} s"
 
 
 @settings(max_examples=60, deadline=None)

@@ -135,7 +135,7 @@ def test_every_workload_sets_up_with_a_clean_warm_up(monkeypatch):
         assert problems == [], name
 
 
-@pytest.mark.parametrize("workload", ["certify", "chains"])
+@pytest.mark.parametrize("workload", ["exhaustive", "certify", "chains"])
 def test_bench_runs_a_short_workload_correctly(workload):
     # The benchmark's own output checks, end to end, at one second.
     done = subprocess.run(
