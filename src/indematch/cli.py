@@ -30,6 +30,7 @@ from .errors import (
     MatchingError,
     ParseError,
     UnknownEdge,
+    _show,
 )
 from .patterns import PatternKind, Side, Witness, WitnessKind, canonical_edges
 from .pins import PinSequence, classify_sequence, grow_right_reaching, properize
@@ -143,7 +144,7 @@ def format_matching(matching: Matching, form: str = "edges") -> str:
     if form == "edges":
         return str(matching)
     if form != "chord":
-        raise ValueError(f"unknown form {form!r}")
+        raise MatchingError(f"unknown form {_show(form, repr)}; expected 'edges' or 'chord'")
     label_of: dict[int, str] = {}
     word = []
     fresh = 0

@@ -32,6 +32,7 @@ from .errors import (
     GapInVertexSet,
     MatchingError,
     SelfLoop,
+    SizeTooSmall,
     UnknownEdge,
     VertexOutOfRange,
     _show,
@@ -70,7 +71,7 @@ class Segment:
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
-            raise ValueError(f"segment bounds out of order: [{self.lo}, {self.hi}]")
+            raise SizeTooSmall(self.hi, self.lo, "segment upper bound")
 
     def __contains__(self, vertex: int) -> bool:
         return self.lo <= vertex <= self.hi

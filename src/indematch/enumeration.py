@@ -3,9 +3,10 @@ avoider scans.
 
 Matchings on [2n] are streamed in a canonical order: vertex 1 pairs with
 each possible partner in increasing order, then the rest of the vertex set
-is matched recursively the same way.  That order equals lexicographic order
-of the partner tables, and fixing the partner of vertex 1 splits the stream
-into 2n - 1 independent shards for parallel scans.
+is matched the same way, from an explicit stack of frames.  That order
+equals lexicographic order of the partner tables, and fixing the partner
+of vertex 1 splits the stream into 2n - 1 independent shards for parallel
+scans.
 
 The stream decides indecomposability as it completes each table, by the
 cut lemma in core's module docstring: a matching is indecomposable iff
@@ -24,9 +25,10 @@ completes and yields every table below it.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .core import Matching
 from .errors import SizeCapExceeded, SizeTooSmall
@@ -38,85 +40,75 @@ from .pins import _pin_nodes
 SOFT_CAP = 9
 
 
-def _complete(
-    partner: list[int],
-    free: tuple[int, ...],
-    choices: Iterable[int],
-    s: int,
-    seen: set[int] | None,
-) -> Iterator[tuple[int, ...] | None]:
-    """Complete partner in place over the free vertices (ascending),
-    pairing free[0] with free[i] for each i in choices in turn.
+def _tables(
+    partner: list[int], first_partner: int | None = None, *, decide: bool = True
+) -> Iterator[bool]:
+    """Fill partner, a buffer of 2n slots, with each table on [2n] in
+    canonical order (with first_partner, each table of the shard pairing
+    vertex 1 with it), and yield whether that table is indecomposable.
+    Every table is yielded; without decide every flag is False.
 
-    s is S(free[0] - 1), or -1 once a signature has repeated; seen holds
-    the earlier signatures, or is None (with s = -1) when none are tracked.
-    A finished table comes out as a tuple, or as None when a signature
-    repeated.  The last two free vertices are paired inline.
+    A frame pairs free[0] with free[i] for each i in its choices in turn.
+    Its s is S(free[0] - 1), or -1 once a signature has repeated; undo
+    holds the signatures its pairing put in seen, removed when the frame
+    is popped.  The last two free vertices are paired inline.
     """
     m = len(partner)
-    a = free[0]
-    for i in choices:
-        b = free[i]
-        partner[a - 1] = b
-        partner[b - 1] = a
-        rest = free[1:i] + free[i + 1 :]
-        t = s
-        if t >= 0:
-            # Cut a sets bit a, which no earlier signature holds.  The cuts
-            # after it, up to the next free vertex, are right endpoints: each
-            # clears a bit, so they differ from each other and from S(a).
-            t |= 1 << a
-            added = [t]
-            for v in range(a + 1, rest[0] if rest else m):
-                t ^= 1 << partner[v - 1]
-                if t in seen:
-                    t = -1
-                    break
-                added.append(t)
-        if len(rest) > 2:
+    if not m:
+        yield decide
+        return
+    choices = range(1, m) if first_partner is None else (first_partner - 1,)
+    seen = {0}
+    stack = [(tuple(range(1, m + 1)), iter(choices), 0 if decide else -1, ())]
+    while stack:
+        free, choices, s, undo = stack[-1]
+        a = free[0]
+        for i in choices:
+            b = free[i]
+            partner[a - 1] = b
+            partner[b - 1] = a
+            rest = free[1:i] + free[i + 1 :]
+            t = s
             if t >= 0:
-                seen.update(added)
-            yield from _complete(partner, rest, range(1, len(rest)), t, seen)
-            if t >= 0:
-                seen.difference_update(added)
-            continue
-        if rest:
-            # The forced last pair: its cuts are checked against seen and
-            # against this pairing's cuts, which stay out of seen.
-            c, d = rest
-            partner[c - 1] = d
-            partner[d - 1] = c
-            if t >= 0:
-                t |= 1 << c
-                for v in range(c + 1, m):
+                # Cut a sets bit a, which no earlier signature holds.  The cuts
+                # after it, up to the next free vertex, are right endpoints: each
+                # clears a bit, so they differ from each other and from S(a).
+                t |= 1 << a
+                added = [t]
+                for v in range(a + 1, rest[0] if rest else m):
                     t ^= 1 << partner[v - 1]
-                    if t in seen or t in added:
+                    if t in seen:
                         t = -1
                         break
-        yield tuple(partner) if t >= 0 or seen is None else None
-
-
-def _partner_tables(
-    n: int, first_partner: int | None = None, *, decide: bool = True
-) -> Iterator[tuple[int, ...] | None]:
-    """Every partner table on [2n] in canonical order, or with first_partner
-    the shard that pairs vertex 1 with it.
-
-    With decide, a decomposable table comes out as None: it is still
-    completed and yielded, so the count of items is the count of tables.
-    Without, every table comes out as a tuple and no signature is tracked.
-    """
-    m = 2 * n
-    if m == 0:
-        return iter([()])
-    choices = range(1, m) if first_partner is None else (first_partner - 1,)
-    free = tuple(range(1, m + 1))
-    return _complete([0] * m, free, choices, 0 if decide else -1, {0} if decide else None)
+                    added.append(t)
+            if len(rest) > 2:
+                added = added if t >= 0 else ()
+                seen.update(added)
+                stack.append((rest, iter(range(1, len(rest))), t, added))
+                break
+            if rest:
+                # The forced last pair: its cuts are checked against seen and
+                # against this pairing's cuts, which stay out of seen.
+                c, d = rest
+                partner[c - 1] = d
+                partner[d - 1] = c
+                if t >= 0:
+                    t |= 1 << c
+                    for v in range(c + 1, m):
+                        t ^= 1 << partner[v - 1]
+                        if t in seen or t in added:
+                            t = -1
+                            break
+            yield t >= 0
+        else:
+            stack.pop()
+            seen.difference_update(undo)
 
 
 def _hosts(n: int, first_partner: int) -> Iterator[Matching]:
     """The shard's tables the stream decided are indecomposable, in order."""
-    return (Matching(p) for p in _partner_tables(n, first_partner) if p is not None)
+    partner = [0] * (2 * n)
+    return (Matching(tuple(partner)) for indec in _tables(partner, first_partner) if indec)
 
 
 def _host_shards(n_max: int, k: int) -> list[tuple[int, int, int]]:
@@ -145,14 +137,14 @@ def _run_shards(worker: Callable, shards: list, jobs: int) -> list:
 def _check_cap(n: int, allow_large: bool) -> None:
     if n < 0:
         raise SizeTooSmall(n, 0, "n")
+    if n > SOFT_CAP and not allow_large:
+        raise SizeCapExceeded(n, SOFT_CAP)
+
+
+def _warn_large(n: int) -> None:
     if n > SOFT_CAP:
-        if not allow_large:
-            raise SizeCapExceeded(n, SOFT_CAP)
-        warnings.warn(
-            f"enumerating all matchings at n={n} streams {2 * n - 1}!! items",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        message = f"enumerating all matchings at n={n} streams {2 * n - 1}!! items"
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
 def all_matchings(n: int, *, allow_large: bool = False) -> Iterator[Matching]:
@@ -161,7 +153,9 @@ def all_matchings(n: int, *, allow_large: bool = False) -> Iterator[Matching]:
     The cap is checked eagerly, before the first item is drawn.
     """
     _check_cap(n, allow_large)
-    return (Matching(partner) for partner in _partner_tables(n, decide=False))
+    _warn_large(n)
+    partner = [0] * (2 * n)
+    return (Matching(tuple(partner)) for _ in _tables(partner, decide=False))
 
 
 def recurrence_counts(n_max: int) -> tuple[int, ...]:
@@ -192,13 +186,8 @@ class CensusRow:
 
 def _census_shard(args: tuple[int, int]) -> tuple[int, int]:
     n, first_partner = args
-    total = 0
-    indec = 0
-    for partner in _partner_tables(n, first_partner):
-        total += 1
-        if partner is not None:
-            indec += 1
-    return total, indec
+    flags = Counter(_tables([0] * (2 * n), first_partner))
+    return flags[True] + flags[False], flags[True]
 
 
 def check_census(n: int, *, jobs: int = 1, allow_large: bool = False) -> None:
@@ -221,7 +210,7 @@ def census(n: int, *, jobs: int = 1, allow_large: bool = False) -> CensusRow:
     rather than assuming it.
     """
     check_census(n, jobs=jobs, allow_large=allow_large)
-    _check_cap(n, allow_large)
+    _warn_large(n)
     parts = _run_shards(_census_shard, [(n, fp) for fp in range(2, 2 * n + 1)], jobs)
     total = sum(p[0] for p in parts)
     indec = sum(p[1] for p in parts)
@@ -286,6 +275,7 @@ def scan_avoiders(
     if k < 2:
         raise SizeTooSmall(k, 2, "k")
     _check_cap(n_max, allow_large)
+    _warn_large(n_max)
     shards = _host_shards(n_max, k)
     counts = dict.fromkeys(range(1, n_max + 1), 0)
     examples: dict[int, Matching] = {}

@@ -73,7 +73,7 @@ class NotRightReaching(MatchingError):
 
 class SizeTooSmall(MatchingError, ValueError):
     def __init__(self, value: int, minimum: int, what: str = "size") -> None:
-        super().__init__(f"{what} {_show(value)} is below the minimum {minimum}")
+        super().__init__(f"{what} {_show(value)} is below the minimum {_show(minimum)}")
         self.value = value
         self.minimum = minimum
 

@@ -27,10 +27,15 @@ from .errors import (
     DuplicateValue,
     InsufficientCrossers,
     InvariantViolation,
+    SizeCapExceeded,
     SizeTooSmall,
     UnknownEdge,
+    _show,
 )
 from .pins import _walk_pins
+
+# canonical_edges refuses a larger k before allocating (10**6 Edges: over 100 MB).
+PATTERN_CAP = 10**6
 
 
 class PatternKind(Enum):
@@ -58,6 +63,9 @@ def canonical_edges(kind: PatternKind, k: int) -> tuple[Edge, ...]:
     """
     if k < 1:
         raise SizeTooSmall(k, 1, "pattern size")
+    if k > PATTERN_CAP:
+        message = f"pattern size {_show(k)} exceeds the cap {PATTERN_CAP}"
+        raise SizeCapExceeded(k, PATTERN_CAP, message)
     if kind is PatternKind.INTERLEAVING:
         return tuple(Edge(i, i + k) for i in range(1, k + 1))
     if kind is PatternKind.NESTING:

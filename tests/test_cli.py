@@ -133,8 +133,10 @@ def test_parse_semantic_errors_are_not_parse_errors():
 def test_format_matching():
     assert format_matching(CHAIN) == "1-6 2-8 3-5 4-7"
     assert format_matching(CHAIN, "chord") == "ABCDCADB"
-    with pytest.raises(ValueError):
+    with pytest.raises(MatchingError, match="unknown form 'dot'; expected 'edges' or 'chord'"):
         format_matching(CHAIN, "dot")
+    with pytest.raises(MatchingError, match="unknown form <an integer of more than"):
+        format_matching(CHAIN, 10**5000)
 
 
 def test_chord_form_beyond_26_edges():
@@ -468,6 +470,12 @@ def test_cmd_canonical(capsys):
     assert capsys.readouterr().out.strip() == "4-8 1-7 2-6 3-5"
     assert main(["canonical", "interleaving", "-k", "3"]) == 0
     assert capsys.readouterr().out.strip() == "1-4 2-5 3-6"
+    start = time.perf_counter()
+    assert main(["canonical", "interleaving", "-k", "1000000000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: pattern size 1000000000 exceeds the cap 1000000\n"
 
 
 def test_cmd_census(capsys):

@@ -67,6 +67,8 @@ def test_segment():
     assert str(s) == "[4,7]"
     with pytest.raises(ValueError):
         Segment(5, 4)
+    with pytest.raises(MatchingError, match="segment upper bound 4 is below the minimum 5"):
+        Segment(5, 4)
 
 
 def test_make_matching_basic():

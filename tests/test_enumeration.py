@@ -64,18 +64,32 @@ def test_all_matchings_cap():
 
 
 def test_every_shard_streams_the_reference_tables_in_order():
-    # Position by position: a decomposable table comes out as None, an
-    # indecomposable one as the reference's tuple.
+    # Position by position: every table is the reference's, and the flagged
+    # ones are exactly the reference's indecomposables.
     for n in range(1, 8):
-        for fp in range(2, 2 * n + 1):
-            got = list(enumeration._partner_tables(n, fp))
-            ref = list(reference_partner_tuples_shard(n, fp))
+        for fp in [None, *range(2, 2 * n + 1)]:
+            partner = [0] * (2 * n)
+            got = [(tuple(partner), flag) for flag in enumeration._tables(partner, fp)]
+            if fp is None:
+                ref = list(reference_partner_tuples(n))
+            else:
+                ref = list(reference_partner_tuples_shard(n, fp))
             assert len(got) == len(ref), (n, fp)
-            assert [t for t in got if t is not None] == [
+            assert [t for t, flag in got if flag] == [
                 t for t in ref if reference_is_indecomposable_partner(t)
             ], (n, fp)
-            for table, expect in zip(got, ref):
-                assert table is None or table == expect
+            assert [t for t, _ in got] == ref, (n, fp)
+
+
+def test_the_stream_reaches_its_first_table_at_n_2000():
+    # The stream keeps its frames on a list: no recursion grows with n.
+    with pytest.warns(RuntimeWarning):
+        first = next(all_matchings(2000, allow_large=True))
+    assert first.partner[:4] == (2, 1, 4, 3) and first.n == 2000
+    partner = [0] * 4000
+    assert next(enumeration._tables(partner, 3)) is False
+    assert partner[:4] == [3, 4, 1, 2]
+    assert sorted(partner) == list(range(1, 4001))
 
 
 def test_all_matchings_is_the_reference_stream():
@@ -145,6 +159,16 @@ def test_pool_never_exceeds_the_shard_count(monkeypatch):
     assert census(3, jobs=100_000) == census(3)
     assert census(3, jobs=2) == census(3)
     assert sizes == [5, 2]
+
+
+def test_census_warns_once_past_the_cap(monkeypatch):
+    monkeypatch.setattr(enumeration, "SOFT_CAP", 2)
+    with pytest.raises(SizeCapExceeded):
+        census(3)
+    with pytest.warns(RuntimeWarning, match="streams 5!! items") as caught:
+        row = census(3, allow_large=True)
+    assert len(caught) == 1
+    assert row == CensusRow(3, TOTALS[3], INDECOMPOSABLE[3], INDECOMPOSABLE[3])
 
 
 def test_census_validation():

@@ -28,9 +28,11 @@ from indematch.errors import (
     InsufficientCrossers,
     InvariantViolation,
     MatchingError,
+    SizeCapExceeded,
     SizeTooSmall,
     UnknownEdge,
 )
+from indematch.patterns import PATTERN_CAP
 
 from helpers import (
     matchings,
@@ -87,6 +89,13 @@ def test_canonical_size_bounds():
     with pytest.raises(SizeTooSmall):
         canonical(PatternKind.RIGHT_BROKEN_NESTING, 1)
     assert canonical(PatternKind.NESTING, 1).edges() == (Edge(1, 2),)
+    # Refused before any allocation, with the digit-limit stand-in in the text.
+    for kind in PatternKind:
+        with pytest.raises(SizeCapExceeded, match="pattern size <an integer of more than"):
+            canonical(kind, 10**5000)
+    with pytest.raises(SizeCapExceeded) as exc:
+        canonical_edges(PatternKind.INTERLEAVING, PATTERN_CAP + 1)
+    assert exc.value.cap == PATTERN_CAP
 
 
 def test_longest_monotone_fixtures():

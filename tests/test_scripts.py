@@ -85,6 +85,7 @@ def test_pattern_gallery_writes_svgs(tmp_path):
         (["-k", "1"], "error: broken nesting size 1 is below the minimum 2"),
         (["--matching", "1-2 3-4"], "error: the matching is decomposable"),
         (["--matching", "1-x"], "error: parse error at position 1: expected a-b, got '1-x'"),
+        (["-k", "1000000000"], "error: pattern size 1000000000 exceeds the cap 1000000"),
     ],
 )
 def test_pattern_gallery_reports_bad_input_in_one_line(tmp_path, args, message):
@@ -119,6 +120,25 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for top in tops:
                 assert top in sys.stdlib_module_names, (path.name, node.lineno, top)
+
+
+def test_no_function_calls_itself_by_name():
+    # Searches and streams keep their own stacks, so no call depth grows with
+    # the input: a function (or method, through self) never calls itself.
+    package = ROOT / "src" / "indematch"
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name):
+                    name = callee.attr if callee.value.id in ("self", "cls") else None
+                else:
+                    name = getattr(callee, "id", None)
+                assert name != fn.name, (path.name, fn.name, node.lineno)
 
 
 def test_every_workload_sets_up_with_a_clean_warm_up(monkeypatch):
