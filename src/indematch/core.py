@@ -7,25 +7,23 @@ cheap, and it is hashable, so matchings can live in sets and dict keys.
 
 Vertices are 1-based everywhere in the public interface.
 
-Cuts and intervals.  For a cut c (0 <= c <= 2n), X(c) is the set of edges
-with exactly one endpoint <= c.  A run [lo, hi] is closed under the
-matching exactly when X(lo - 1) = X(hi): an edge inside the run is in
-neither set, an edge that straddles it is in both, and an edge with one
-endpoint inside is in exactly one.  So every repeat among X(0), ..., X(2n)
-is a closed run and every closed run is a repeat, and a matching is
-indecomposable iff X(0), ..., X(2n - 1) are pairwise distinct (the repeat
-X(2n) = X(0), both empty, is the whole vertex set).  |X| changes parity at
-every step, so equal sets are at least two cuts apart: a repeat is never a
-single vertex.
+Crossing components.  A run of vertices is closed when it holds the
+partners of all its vertices; an interval is a closed run of >= 2 vertices
+other than the whole vertex set.  A matching is indecomposable iff it has
+no interval, iff its crossing graph is connected: these are the connected
+chord diagrams of Stein & Everett (1978).  The vertices of one crossing
+component span a run [lo, hi], and an edge with exactly one endpoint
+strictly inside that run crosses an edge of the component.  So the span of
+a component is closed, and a closed run [lo, hi] other than the whole set
+contains the whole component of the edge at lo, or of the edge at 1 when
+hi = 2n.  _components folds the vertices left to right into the open
+components and stops when one closes before the last vertex.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import xor
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DuplicateVertex,
@@ -192,31 +190,46 @@ def make_matching(pairs: Iterable[Iterable[int]]) -> Matching:
     return Matching(tuple(partner))
 
 
-# Fixed 62-bit vertex keys for the cut hashes of is_indecomposable:
-# _KEYS[v] is the key of vertex v (index 0 unused).  The table is redrawn
-# from the same seed when it grows, so a vertex keeps its key and every run
-# hashes alike.
-_KEY_SEED = 0x1DE_C0DE
-_KEYS: list[int] = []
+def _components(partner: Sequence[int], start: int, end: int, stack: tuple) -> tuple | None:
+    """Fold vertices start..end - 1, all below the last vertex, into stack,
+    the open crossing components (lo, hi, below) of the vertices before
+    start, with () at the bottom; None once a component closes.
 
-
-def _vertex_keys(top: int) -> list[int]:
-    """The key table, with a key for every vertex up to top."""
-    global _KEYS
-    if len(_KEYS) <= top:
-        rng = random.Random(_KEY_SEED)
-        _KEYS = [rng.getrandbits(62) for _ in range(max(2 * top, 256) + 1)]
-    return _KEYS
-
-
-def _intervals(partner: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """Yield (lo, hi) for every nontrivial interval, by lo and then hi.
-
-    For each candidate left end we sweep right, tracking the furthest
-    partner seen; the run [lo, hi] is closed exactly when that reach has
-    fallen back to hi.  A partner below lo kills every run starting at lo.
+    A left endpoint opens the component of its edge.  A right endpoint v,
+    partner p, joins its edge's component: every open component with lo > p
+    began inside the edge and is still open past v, so it crosses the edge
+    and merges into the one below it.  When the merged component's hi is v,
+    no edge of it reaches past v, and its span [lo, v] is an interval.
     """
+    for v, p in enumerate(partner[start - 1 : end - 1], start):
+        if p > v:
+            stack = (v, p, stack)
+            continue
+        lo, hi, below = stack
+        while lo > p:
+            lo, top, below = below
+            if top > hi:
+                hi = top
+        if hi == v:
+            return None
+        stack = (lo, hi, below)
+    return stack
+
+
+def find_intervals(matching: Matching) -> tuple[Segment, ...]:
+    """All nontrivial intervals: contiguous runs of >= 2 vertices, closed
+    under the matching, other than the whole vertex set, by lo and then hi.
+
+    An indecomposable matching has none.  Otherwise, for each candidate left
+    end we sweep right, tracking the furthest partner seen; the run
+    [lo, hi] is closed exactly when that reach has fallen back to hi.  A
+    partner below lo kills every run starting at lo.
+    """
+    if is_indecomposable(matching):
+        return ()
+    partner = matching.partner
     m = len(partner)
+    out = []
     for lo in range(1, m + 1):
         reach = lo
         for hi in range(lo, m + 1):
@@ -226,44 +239,19 @@ def _intervals(partner: tuple[int, ...]) -> Iterator[tuple[int, int]]:
             if p > reach:
                 reach = p
             if hi > lo and reach <= hi and not (lo == 1 and hi == m):
-                yield lo, hi
-
-
-def find_intervals(matching: Matching) -> tuple[Segment, ...]:
-    """All nontrivial intervals: contiguous runs of >= 2 vertices, closed
-    under the matching, other than the whole vertex set."""
-    return tuple(Segment(lo, hi) for lo, hi in _intervals(matching.partner))
+                out.append(Segment(lo, hi))
+    return tuple(out)
 
 
 def is_indecomposable(matching: Matching) -> bool:
-    """True when the matching has no nontrivial interval.
-
-    The empty matching and the single edge are indecomposable by convention.
-
-    Decided in O(n) by hashing X(c) at every cut (see the module docstring):
-    H(c) is the XOR of key(v) ^ key(partner of v) over v <= c, so each edge
-    of X(c) contributes the XOR of its two vertex keys.  Equal sets hash
-    equal, so pairwise distinct H(0), ..., H(2n - 1) prove the matching
-    indecomposable.  At the first repeat H(i) = H(j) the run [i + 1, j] is
-    checked directly; a closed run proves it decomposable.  Only a run that
-    is not closed, a collision of the 62-bit keys, falls back to the sweep.
+    """True when the matching has no nontrivial interval, decided in O(n)
+    by one left-to-right pass over its crossing components.  The last
+    vertex always closes the one component left, so the pass stops before
+    it.  The empty matching and the single edge are indecomposable by
+    convention.
     """
     partner = matching.partner
-    m = len(partner)
-    keys = _vertex_keys(m)
-    # cuts[c - 1] is H(c); the last, H(m) = 0 = H(0), stands for cut 0.
-    cuts = list(accumulate(map(xor, keys[1 : m + 1], map(keys.__getitem__, partner)), xor))
-    if len(set(cuts)) == m:
-        return True
-    first = {0: 0}
-    for j, h in enumerate(cuts, start=1):  # a repeat comes before cut m
-        i = first.setdefault(h, j)
-        if i != j:
-            break
-    run = partner[i:j]
-    if min(run) > i and max(run) <= j:
-        return False
-    return next(_intervals(partner), None) is None
+    return _components(partner, 1, len(partner), ()) is not None
 
 
 def _induced_partner(subset: tuple[Edge, ...]) -> tuple[int, ...]:

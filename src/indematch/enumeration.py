@@ -9,17 +9,11 @@ of vertex 1 splits the stream into 2n - 1 independent shards for parallel
 scans.
 
 The stream decides indecomposability as it completes each table, by the
-cut lemma in core's module docstring: a matching is indecomposable iff
-the edge sets X(0), ..., X(2n - 1) are pairwise distinct.  Here the
-signature S(c), the XOR of 1 << (left endpoint of its edge) over the
-vertices <= c, is the bitmask of X(c), so S repeats exactly where X does,
-and never at two adjacent cuts.
-
-All vertices below the smallest free vertex are matched, so their cuts are
-final.  Each pairing extends S over the cuts it finishes and looks each one
-up in the set of earlier signatures, undoing its additions on backtrack.
-Once a signature repeats, the branch stops its signature work but still
-completes and yields every table below it.
+crossing-component pass in core's module docstring.  All vertices below
+the smallest free vertex are matched, so each pairing folds the vertices
+it finishes into its frame's open components.  Once a component closes the
+branch stops that work but still completes and yields every table below
+it.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .core import Matching
+from .core import Matching, _components
 from .errors import SizeCapExceeded, SizeTooSmall
 from .patterns import PatternKind, max_pattern
 from .pins import _pin_nodes
@@ -49,60 +43,35 @@ def _tables(
     Every table is yielded; without decide every flag is False.
 
     A frame pairs free[0] with free[i] for each i in its choices in turn.
-    Its s is S(free[0] - 1), or -1 once a signature has repeated; undo
-    holds the signatures its pairing put in seen, removed when the frame
-    is popped.  The last two free vertices are paired inline.
+    Its stack holds the open components of the vertices below free[0]; it
+    is None without decide or once one has closed.  The last two free
+    vertices are paired inline.
     """
     m = len(partner)
     if not m:
         yield decide
         return
     choices = range(1, m) if first_partner is None else (first_partner - 1,)
-    seen = {0}
-    stack = [(tuple(range(1, m + 1)), iter(choices), 0 if decide else -1, ())]
-    while stack:
-        free, choices, s, undo = stack[-1]
+    frames = [(tuple(range(1, m + 1)), iter(choices), () if decide else None)]
+    while frames:
+        free, choices, stack = frames[-1]
         a = free[0]
         for i in choices:
             b = free[i]
             partner[a - 1] = b
             partner[b - 1] = a
             rest = free[1:i] + free[i + 1 :]
-            t = s
-            if t >= 0:
-                # Cut a sets bit a, which no earlier signature holds.  The cuts
-                # after it, up to the next free vertex, are right endpoints: each
-                # clears a bit, so they differ from each other and from S(a).
-                t |= 1 << a
-                added = [t]
-                for v in range(a + 1, rest[0] if rest else m):
-                    t ^= 1 << partner[v - 1]
-                    if t in seen:
-                        t = -1
-                        break
-                    added.append(t)
             if len(rest) > 2:
-                added = added if t >= 0 else ()
-                seen.update(added)
-                stack.append((rest, iter(range(1, len(rest))), t, added))
+                folded = None if stack is None else _components(partner, a, rest[0], stack)
+                frames.append((rest, iter(range(1, len(rest))), folded))
                 break
             if rest:
-                # The forced last pair: its cuts are checked against seen and
-                # against this pairing's cuts, which stay out of seen.
                 c, d = rest
                 partner[c - 1] = d
                 partner[d - 1] = c
-                if t >= 0:
-                    t |= 1 << c
-                    for v in range(c + 1, m):
-                        t ^= 1 << partner[v - 1]
-                        if t in seen or t in added:
-                            t = -1
-                            break
-            yield t >= 0
+            yield stack is not None and _components(partner, a, m, stack) is not None
         else:
-            stack.pop()
-            seen.difference_update(undo)
+            frames.pop()
 
 
 def _hosts(n: int, first_partner: int) -> Iterator[Matching]:

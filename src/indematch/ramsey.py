@@ -99,7 +99,7 @@ def _crossing_count(partner: tuple[int, ...], left: int, right: int) -> int:
 
 def witness(matching: Matching, k: int) -> WitnessReport:
     """Search an indecomposable matching for a size-k interleaving, broken
-    nesting or proper pin sequence, after one interval sweep of it."""
+    nesting or proper pin sequence, after one indecomposability pass over it."""
     b = bounds(k)
     if not is_indecomposable(matching):
         raise NotIndecomposable()

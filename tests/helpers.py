@@ -162,6 +162,14 @@ def small_indecomposables(n_max: int) -> Iterator[Matching]:
         yield from filter(is_indecomposable, all_matchings(n))
 
 
+def crossing_chain(n: int) -> Matching:
+    """1-3, then (2i, 2i+3) for i < n - 1, then (2n-2, 2n): each edge
+    crosses only its neighbours."""
+    return make_matching(
+        [(1, 3)] + [(2 * i, 2 * i + 3) for i in range(1, n - 1)] + [(2 * n - 2, 2 * n)]
+    )
+
+
 def oracle_intervals(matching: Matching) -> tuple[Segment, ...]:
     """All nontrivial intervals by direct closure check of every segment."""
     m = matching.top

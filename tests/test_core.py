@@ -1,6 +1,7 @@
 from itertools import combinations, product
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -27,11 +28,11 @@ from indematch.errors import (
     VertexOutOfRange,
 )
 
-from indematch import core
 from helpers import (
     Relation,
     SharedVertex,
     contains,
+    crossing_chain,
     edge_relation,
     matchings,
     oracle_intervals,
@@ -257,33 +258,68 @@ def test_is_indecomposable_matches_the_sweep_random(m):
     assert is_indecomposable(m) == reference_is_indecomposable_partner(m.partner)
 
 
-def test_is_indecomposable_sweeps_only_on_a_hash_collision(monkeypatch):
-    sweeps = []
-    sweep = core._intervals
-    monkeypatch.setattr(core, "_intervals", lambda partner: sweeps.append(partner) or sweep(partner))
-    small = [m for n in range(7) for m in all_matchings(n)]
-    for m in small:
-        assert is_indecomposable(m) == reference_is_indecomposable_partner(m.partner), str(m)
-    assert sweeps == []
-    # With every key 0 every cut collides with cut 0, the run [1, 1] is
-    # never closed, and each nonempty host is decided by the sweep.
-    monkeypatch.setattr(core, "_KEYS", [0] * 13)
-    for m in small:
-        assert is_indecomposable(m) == reference_is_indecomposable_partner(m.partner), str(m)
-    assert len(sweeps) == len(small) - 1
+def test_is_indecomposable_iff_the_crossing_graph_is_connected():
+    # The lemma the pass decides by: no nontrivial interval exactly when
+    # every edge is joined to every other by a path of crossings.
+    for n in range(7):
+        for m in all_matchings(n):
+            edges = m.edges()
+            reached, todo = set(edges[:1]), list(edges[:1])
+            while todo:
+                e = todo.pop()
+                for f in edges:
+                    if f not in reached and edge_relation(e, f) is Relation.CROSSING:
+                        reached.add(f)
+                        todo.append(f)
+            assert is_indecomposable(m) == (len(reached) == n), str(m)
 
 
-@pytest.mark.parametrize("closed_pair", [False, True])
-def test_is_indecomposable_is_linear_on_a_long_broken_nesting(closed_pair):
-    # The sweep is quadratic on these hosts: tens of seconds at this size.
+def _long_host(kind, closed_pair=False):
     n = 20000
-    edges = canonical_edges(PatternKind.RIGHT_BROKEN_NESTING, n)
+    if kind is None:
+        return crossing_chain(n)
+    edges = canonical_edges(kind, n)
     if closed_pair:  # the run [n + 1, n + 2] becomes closed
         edges = [tuple(v + 2 * (v > n) for v in e) for e in edges] + [(n + 1, n + 2)]
-    m = make_matching(edges)
+    return make_matching(edges)
+
+
+@pytest.mark.parametrize(
+    "kind, closed_pair, expect",
+    [  # the broken nestings keep their ids, the value of closed_pair
+        pytest.param(PatternKind.RIGHT_BROKEN_NESTING, False, True, id="False"),
+        pytest.param(PatternKind.RIGHT_BROKEN_NESTING, True, False, id="True"),
+        # n components open at once, merged by the first right endpoint
+        pytest.param(PatternKind.INTERLEAVING, False, True, id="interleaving"),
+        pytest.param(PatternKind.NESTING, False, False, id="nesting"),  # closes at n + 1
+        pytest.param(None, False, True, id="chain"),
+    ],
+)
+def test_is_indecomposable_is_linear_on_a_long_broken_nesting(kind, closed_pair, expect):
+    # A quadratic interval sweep takes tens of seconds at this size.
+    m = _long_host(kind, closed_pair)
     start = time.perf_counter()
-    assert is_indecomposable(m) is not closed_pair
+    assert is_indecomposable(m) is expect
     assert time.perf_counter() - start < 2
+
+
+def test_find_intervals_answers_at_once_on_a_long_indecomposable_host():
+    m = _long_host(PatternKind.RIGHT_BROKEN_NESTING)
+    start = time.perf_counter()
+    assert find_intervals(m) == ()
+    assert time.perf_counter() - start < 2
+
+
+def test_is_indecomposable_keeps_no_memory():
+    m = crossing_chain(200_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert is_indecomposable(m)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20, held
 
 
 def test_subpattern_relabels():

@@ -9,7 +9,6 @@ from indematch import (
     census,
     check_census,
     enumeration,
-    find_intervals,
     is_indecomposable,
     make_matching,
     recurrence_counts,
@@ -95,30 +94,6 @@ def test_the_stream_reaches_its_first_table_at_n_2000():
 def test_all_matchings_is_the_reference_stream():
     for n in range(7):
         assert [m.partner for m in all_matchings(n)] == list(reference_partner_tuples(n)), n
-
-
-def signatures(partner):
-    """S(0), ..., S(2n): S(c) has bit l for each edge with left endpoint l
-    and exactly one endpoint <= c."""
-    out = [0]
-    for c, p in enumerate(partner, start=1):
-        out.append(out[-1] ^ (1 << min(c, p)))
-    return out
-
-
-def test_equal_signatures_are_exactly_the_closed_runs():
-    # The lemma the stream decides by: S(i) = S(j), i < j, iff [i + 1, j]
-    # is closed, i.e. a find_intervals segment or the whole vertex set.
-    for n in range(1, 7):
-        for m in all_matchings(n):
-            by_value = {}
-            for c, s in enumerate(signatures(m.partner)):
-                by_value.setdefault(s, []).append(c)
-            equal = {
-                (i, j) for cuts in by_value.values() for i in cuts for j in cuts if i < j
-            }
-            expect = {(seg.lo - 1, seg.hi) for seg in find_intervals(m)} | {(0, 2 * n)}
-            assert equal == expect, str(m)
 
 
 def test_recurrence_counts():

@@ -30,6 +30,7 @@ from helpers import (
     EmptySegment,
     all_pin_sequences,
     count_proper_rr_sequences,
+    crossing_chain,
     indecomposable_matchings,
     reference_classify_sequence,
     reference_grow_right_reaching,
@@ -43,14 +44,6 @@ from helpers import (
 
 CHAIN = make_matching([(3, 5), (4, 7), (1, 6), (2, 8)])
 FORCED = (Edge(3, 5), Edge(4, 7), Edge(1, 6), Edge(2, 8))
-
-
-def crossing_chain(n):
-    """1-3, then (2i, 2i+3) for i < n - 1, then (2n-2, 2n): each edge
-    crosses only its neighbours."""
-    return make_matching(
-        [(1, 3)] + [(2 * i, 2 * i + 3) for i in range(1, n - 1)] + [(2 * n - 2, 2 * n)]
-    )
 
 
 def outcome(f, *args):

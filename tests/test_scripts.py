@@ -155,9 +155,10 @@ def test_every_workload_sets_up_with_a_clean_warm_up(monkeypatch):
         assert problems == [], name
 
 
-@pytest.mark.parametrize("workload", ["exhaustive", "certify", "chains"])
+@pytest.mark.parametrize("workload", ["census", "exhaustive", "certify", "chains"])
 def test_bench_runs_a_short_workload_correctly(workload):
-    # The benchmark's own output checks, end to end, at one second.
+    # The benchmark's own output checks, end to end, at one second: census
+    # runs its one census(8) operation, the stream's frozen n = 8 counts.
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "1", "--trace", "0"],
         capture_output=True,
