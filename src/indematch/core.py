@@ -107,11 +107,8 @@ class Matching:
 
     def edges(self) -> tuple[Edge, ...]:
         """All edges, ordered by left endpoint."""
-        return tuple(
-            Edge(v, self.partner[v - 1])
-            for v in range(1, len(self.partner) + 1)
-            if v < self.partner[v - 1]
-        )
+        make = Edge._make
+        return tuple([make(vw) for vw in enumerate(self.partner, 1) if vw[0] < vw[1]])
 
     def has_edge(self, edge: Edge) -> bool:
         return (
@@ -220,26 +217,40 @@ def find_intervals(matching: Matching) -> tuple[Segment, ...]:
     """All nontrivial intervals: contiguous runs of >= 2 vertices, closed
     under the matching, other than the whole vertex set, by lo and then hi.
 
-    An indecomposable matching has none.  Otherwise, for each candidate left
-    end we sweep right, tracking the furthest partner seen; the run
-    [lo, hi] is closed exactly when that reach has fallen back to hi.  A
-    partner below lo kills every run starting at lo.
+    A closed run is a union of crossing components, and component spans are
+    closed, so they nest or are disjoint.  The component of the vertex lo of
+    a closed run [lo, hi] therefore starts at lo, and so does the component
+    of each vertex just past the span before it: the closed runs starting at
+    lo are the span [lo, end[lo]] of the component whose least vertex is lo,
+    extended by each next span that starts right after it.  One fold of the
+    components, as in _components but dropping each closed one, records
+    end; the chaining then costs one step per interval.
     """
-    if is_indecomposable(matching):
-        return ()
     partner = matching.partner
     m = len(partner)
+    end = [0] * (m + 2)  # end[lo]: the last vertex of the component from lo
+    stack = ()
+    for v, p in enumerate(partner, 1):
+        if p > v:
+            stack = (v, p, stack)
+            continue
+        lo, hi, below = stack
+        while lo > p:
+            lo, top, below = below
+            if top > hi:
+                hi = top
+        if hi == v:
+            end[lo] = v
+            stack = below
+        else:
+            stack = (lo, hi, below)
     out = []
     for lo in range(1, m + 1):
-        reach = lo
-        for hi in range(lo, m + 1):
-            p = partner[hi - 1]
-            if p < lo:
-                break
-            if p > reach:
-                reach = p
-            if hi > lo and reach <= hi and not (lo == 1 and hi == m):
+        hi = end[lo]
+        while hi:
+            if hi - lo < m - 1:  # not the whole vertex set
                 out.append(Segment(lo, hi))
+            hi = end[hi + 1]
     return tuple(out)
 
 

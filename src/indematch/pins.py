@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import Edge, Matching, _crossers, is_indecomposable
+from .core import Edge, Matching, _crossers, as_edge, is_indecomposable
 from .errors import (
     DuplicatePin,
     InvariantViolation,
@@ -49,32 +49,51 @@ def _walk_pins(pins: Sequence[tuple[int, int]]) -> tuple[bool, bool]:
         if (plo <= a <= phi) != (plo <= b <= phi):
             proper = False
         plo, phi = lo, hi
-        lo, hi = min(lo, a), max(hi, b)
+        if a < lo:
+            lo = a
+        if b > hi:
+            hi = b
     return True, proper
 
 
-def classify_sequence(matching: Matching, pins: tuple[Edge, ...]) -> PinSequence:
+def _as_pin(pair: Iterable[int]) -> Edge:
+    """An Edge as it is; any other endpoint pair normalized by as_edge."""
+    return pair if type(pair) is Edge else as_edge(pair)
+
+
+def classify_sequence(matching: Matching, pins: Iterable[Iterable[int]]) -> PinSequence:
     """Decide the pin-sequence, properness and right-reaching properties.
 
-    The edges must be distinct edges of the matching.  Length-1 sequences
-    are proper pin sequences by convention; for length 2 the properness
-    condition is vacuous, so properness and the split condition coincide.
+    The edges must be distinct edges of the matching, each an Edge or an
+    endpoint pair in either order, normalized by as_edge; the result holds
+    them as a tuple of Edges.  Length-1 sequences are proper pin sequences
+    by convention; for length 2 the properness condition is vacuous, so
+    properness and the split condition coincide.
+
+    Valid pins are recognized by one pass over the partner table and one
+    set; only pins that fail it are checked in order, to name the first bad
+    one.
     """
+    pins = tuple(map(_as_pin, pins))
     if not pins:
         raise SizeTooSmall(0, 1, "pin sequence length")
-    seen = set()
-    for e in pins:
-        if not matching.has_edge(e):
-            raise UnknownEdge(e)
-        if e in seen:
-            raise DuplicatePin(e)
-        seen.add(e)
+    partner, top = matching.partner, matching.top
+    if not (
+        all(0 < a < b <= top and partner[a - 1] == b for a, b in pins)
+        and len(set(pins)) == len(pins)
+    ):
+        seen = set()
+        for e in pins:
+            if not matching.has_edge(e):
+                raise UnknownEdge(e)
+            if e in seen:
+                raise DuplicatePin(e)
+            seen.add(e)
     is_ps, is_proper = _walk_pins(pins)
-    reaches = matching.top in pins[-1]
-    return PinSequence(matching, pins, is_ps, is_proper, reaches)
+    return PinSequence(matching, pins, is_ps, is_proper, top in pins[-1])
 
 
-def grow_right_reaching(matching: Matching, start: Edge) -> tuple[Edge, ...]:
+def grow_right_reaching(matching: Matching, start: Iterable[int]) -> tuple[Edge, ...]:
     """Extend start into a right-reaching pin sequence, greedily.
 
     Requires an indecomposable host; a decomposable one has a shadow that no
@@ -90,8 +109,10 @@ def grow_right_reaching(matching: Matching, start: Edge) -> tuple[Edge, ...]:
     (partner of reach, reach) when reach > hi; that is also the edge to the
     greatest vertex whenever it splits.  Otherwise it is the edge at the
     first vertex below lo whose partner lies inside.  Each vertex is read
-    once, when it enters the shadow, so the whole growth is O(n).
+    once, when it enters the shadow, so the whole growth is O(n).  The start
+    is an Edge or an endpoint pair in either order, normalized by as_edge.
     """
+    start = _as_pin(start)
     if not matching.has_edge(start):
         raise UnknownEdge(start)
     if not is_indecomposable(matching):
@@ -100,11 +121,16 @@ def grow_right_reaching(matching: Matching, start: Edge) -> tuple[Edge, ...]:
     partner = (0,) + matching.partner
     pins = [start]
     lo, hi = start
-    reach = max(partner[lo : hi + 1])
+    reach = hi
+    for p in partner[lo : hi + 1]:
+        if p > reach:
+            reach = p
     while hi != top:
         if reach > hi:
             a, b = partner[reach], reach
-            reach = max(reach, *partner[hi + 1 : b + 1])
+            for p in partner[hi + 1 : b + 1]:
+                if p > reach:
+                    reach = p
             hi = b
         else:
             a = lo - 1
@@ -115,16 +141,26 @@ def grow_right_reaching(matching: Matching, start: Edge) -> tuple[Edge, ...]:
                 # shadow would be a nontrivial interval.
                 raise NotIndecomposable("no edge splits the shadow")
             b = partner[a]
-            reach = max(reach, *partner[a:lo])
+            for p in partner[a:lo]:
+                if p > reach:
+                    reach = p
             lo = a
-        pins.append(Edge(a, b))
-    return tuple(pins)
+        pins.append((a, b))
+    return tuple(map(Edge._make, pins))
 
 
-def properize(matching: Matching, pins: tuple[Edge, ...]) -> PinSequence:
+def properize(matching: Matching, pins: Iterable[Iterable[int]]) -> PinSequence:
     """Thin a right-reaching pin sequence down to a proper one.
 
-    Every output pin is drawn from the input and the first pin is kept.
+    Every output pin is drawn from the input and the first pin is kept; the
+    pins are given as classify_sequence takes them.  Input that is already
+    proper comes back unchanged, as classify_sequence's result, with no
+    search.  The search would return it too: at step i, with cur the shadow
+    of pins[: i + 1], its only candidate is pin i + 1.  The pins before it
+    lie inside cur.  A pin j >= i + 2 splits shadow(pins[: j]) but, by
+    properness, not shadow(pins[: j - 1]), so it has no endpoint in the
+    latter, which contains cur.
+
     Candidates for each step are tried latest-input-first, so when the
     greedy walk (always the pin of greatest input position crossing the
     current one) already yields a proper sequence, that exact sequence is
@@ -144,6 +180,8 @@ def properize(matching: Matching, pins: tuple[Edge, ...]) -> PinSequence:
         raise NotRightReaching("input is not a pin sequence")
     if not cls.is_right_reaching:
         raise NotRightReaching()
+    if cls.is_proper:
+        return cls
 
     # The pair of shadows is the whole search state.  Used pins lie inside
     # the current shadow and fail the split test, so distinctness needs no
@@ -154,7 +192,7 @@ def properize(matching: Matching, pins: tuple[Edge, ...]) -> PinSequence:
     # the missing shadow before the first pin, so cur minus prev is the
     # whole first pin's span.
     top = matching.top
-    pairs = [(e.left, e.right) for e in pins]
+    pairs = cls.pins
     pin_at = [-1] * (top + 1)
     for i, (a, b) in enumerate(pairs):
         pin_at[a] = pin_at[b] = i
@@ -192,7 +230,7 @@ def properize(matching: Matching, pins: tuple[Edge, ...]) -> PinSequence:
     # Right-reaching by the loop's exit; the pins came from validated input.
     if _walk_pins(chain) != (True, True):
         raise InvariantViolation("search produced an invalid sequence")
-    return PinSequence(matching, tuple(Edge(a, b) for a, b in chain), True, True, True)
+    return PinSequence(matching, tuple(chain), True, True, True)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from indematch import (
     PinTree,
     Segment,
     all_matchings,
+    as_edge,
     build_pin_tree,
     classify_sequence,
     grow_right_reaching,
@@ -233,6 +234,69 @@ def test_properize_matches_the_reference_on_every_small_pin_sequence():
 @given(indecomposable_matchings(min_n=7, max_n=40))
 def test_grow_and_properize_match_the_reference_on_larger_hosts(m):
     assert_grow_and_properize_match_the_reference(m)
+
+
+def test_properize_returns_every_small_proper_sequence_unchanged():
+    # At step i the search's only candidate is pin i + 1, so the early exit
+    # returns what the search would.
+    proper = 0
+    for m in small_indecomposables(5):
+        for pins in all_pin_sequences(m):
+            cls = classify_sequence(m, pins)
+            if cls.is_proper and cls.is_right_reaching:
+                proper += 1
+                assert properize(m, pins) == cls, (m, pins)
+    assert proper == 1499
+
+
+def assert_properize_is_idempotent(m):
+    for start in m.edges():
+        out = properize(m, grow_right_reaching(m, start))
+        assert properize(m, out.pins) == out, (m, start)
+
+
+def test_properize_is_idempotent_on_every_small_host():
+    for m in small_indecomposables(6):
+        assert_properize_is_idempotent(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(indecomposable_matchings(min_n=7, max_n=40))
+def test_properize_is_idempotent_on_larger_hosts(m):
+    assert_properize_is_idempotent(m)
+
+
+BAD_PINS = ((3, 5.0), None, (3, 5, 7), (3,), "35")
+
+
+def test_pin_functions_take_plain_pairs():
+    # Pairs in either order, as tuples, lists or one-shot iterators, held in
+    # a tuple, a list or a one-shot iterator: each gives what Edges give.
+    for start in ((3, 5), (5, 3), [3, 5], iter((5, 3))):
+        assert grow_right_reaching(CHAIN, start) == FORCED
+    pairs = [(5, 3), (4, 7), [1, 6], (8, 2)]
+    for f in (classify_sequence, properize):
+        want = f(CHAIN, FORCED)
+        for given in (pairs, tuple(pairs), iter(pairs), (iter(e) for e in pairs)):
+            out = f(CHAIN, given)
+            assert out == want, (f, given)
+            assert type(out.pins) is tuple and all(type(e) is Edge for e in out.pins)
+            hash(out)
+    # Through the search, not the early exit: this input is not proper.
+    m = make_matching([(1, 4), (2, 6), (3, 7), (5, 9), (8, 11), (10, 12)])
+    improper = [(7, 3), (5, 9), (4, 1), (8, 11), (12, 10)]
+    assert properize(m, improper) == properize(m, tuple(map(as_edge, improper)))
+
+
+@pytest.mark.parametrize("bad", BAD_PINS, ids=repr)
+def test_pin_functions_reject_a_pin_that_is_not_two_ints(bad):
+    with pytest.raises(MatchingError):
+        grow_right_reaching(CHAIN, bad)
+    for pins in ((bad,), [(3, 5), bad], ((3, 5), (4, 7), (1, 6), bad)):
+        with pytest.raises(MatchingError):
+            classify_sequence(CHAIN, pins)
+        with pytest.raises(MatchingError):
+            properize(CHAIN, pins)
 
 
 @settings(max_examples=150)
