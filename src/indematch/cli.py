@@ -18,7 +18,7 @@ from typing import Iterable
 from .core import (
     Edge,
     Matching,
-    as_edge,
+    _host_edges,
     find_intervals,
     is_indecomposable,
     make_matching,
@@ -29,7 +29,6 @@ from .errors import (
     InvariantViolation,
     MatchingError,
     ParseError,
-    UnknownEdge,
     _show,
 )
 from .patterns import PatternKind, Side, Witness, WitnessKind, canonical_edges
@@ -195,14 +194,14 @@ def _is_int(value: object) -> bool:
     return type(value) is int
 
 
-def _certificate_edges(pairs: object) -> tuple[Edge, ...]:
+def _certificate_edges(pairs: object) -> list[list[int]]:
     """A certificate's edge list, checked to be a list of two-integer lists."""
     if not isinstance(pairs, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(_is_int(v) for v in p)
         for p in pairs
     ):
         raise InvariantViolation("edges must be a list of two-integer lists")
-    return tuple(as_edge(p) for p in pairs)
+    return pairs
 
 
 def verify_certificate(doc: dict) -> str:
@@ -284,18 +283,14 @@ UNIT = 24
 MARGIN = 30
 
 
-def render_svg(matching: Matching, highlight: Witness | Iterable[Edge] | None = None) -> str:
+def render_svg(matching: Matching, highlight: Witness | Iterable | None = None) -> str:
     """Arc diagram: vertices on a baseline, one semicircle per edge, the
-    highlighted edges drawn on top in their own stroke."""
+    highlighted edges (a Witness's, or edge pairs) drawn on top in their own stroke."""
     if matching.n == 0:
         raise EmptyMatching("cannot render an empty matching")
     if isinstance(highlight, Witness):
-        marked = tuple(highlight.edges)
-    else:
-        marked = tuple(highlight) if highlight is not None else ()
-    for e in marked:
-        if not matching.has_edge(e):
-            raise UnknownEdge(e)
+        highlight = highlight.edges
+    marked = _host_edges(matching, highlight) if highlight is not None else ()
 
     top = matching.top
 
@@ -391,12 +386,9 @@ def _cmd_pins(args: argparse.Namespace) -> int:
     matching = _read_matching(args.matching)
     if matching.n == 0:
         raise EmptyMatching("no edge to start a pin sequence from")
-    if args.start is not None:
-        start = as_edge(_parse_pair(args.start, 1))
-    else:
-        start = matching.edges()[0]
+    start = matching.edges()[0] if args.start is None else _parse_pair(args.start, 1)
     grown = grow_right_reaching(matching, start)
-    print(f"start: {start}")
+    print(f"start: {grown[0]}")
     print(f"grown: {_edge_text(grown)}  [{_flags(classify_sequence(matching, grown))}]")
     proper = properize(matching, grown)
     print(f"proper: {_edge_text(proper.pins)}  [{_flags(proper)}]")
@@ -475,7 +467,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     matching = _read_matching(args.matching)
-    highlight: tuple[Edge, ...] = ()
+    highlight: list[list[int]] = []
     if args.witness is not None:
         doc = _read_certificate(args.witness)
         if not isinstance(doc, dict) or "edges" not in doc:

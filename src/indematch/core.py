@@ -101,8 +101,9 @@ class Matching:
         return len(self.partner)
 
     def partner_of(self, vertex: int) -> int:
-        if not 1 <= vertex <= len(self.partner):
-            raise VertexOutOfRange(vertex, len(self.partner))
+        """The partner of vertex, an int in [1, 2n]; a bool is out of range."""
+        if isinstance(vertex, bool) or not (isinstance(vertex, int) and 1 <= vertex <= self.top):
+            raise VertexOutOfRange(vertex, self.top)
         return self.partner[vertex - 1]
 
     def edges(self) -> tuple[Edge, ...]:
@@ -110,17 +111,42 @@ class Matching:
         make = Edge._make
         return tuple([make(vw) for vw in enumerate(self.partner, 1) if vw[0] < vw[1]])
 
-    def has_edge(self, edge: Edge) -> bool:
-        return (
-            1 <= edge.left <= len(self.partner)
-            and self.partner[edge.left - 1] == edge.right
-            and edge.left < edge.right
-        )
+    def has_edge(self, edge: Iterable[int]) -> bool:
+        """Whether the int pair (left, right), smaller endpoint first, is an edge."""
+        left, right = edge
+        return 1 <= left < right and left <= len(self.partner) and self.partner[left - 1] == right
 
     def __str__(self) -> str:
         return " ".join(
             f"{v}-{w}" for v, w in enumerate(self.partner, start=1) if v < w
         )
+
+
+def _host_edges(matching: Matching, pairs: Iterable[Iterable[int]]) -> tuple[Edge, ...]:
+    """The one reading of an edge argument: pairs, read once, as a tuple of
+    Edges of the matching.  Edges with int fields that the partner table
+    holds come back untouched.  Otherwise each pair, in either order, is
+    normalized by as_edge, and then the first that is not an edge of the
+    matching is an UnknownEdge."""
+    try:
+        pairs = tuple(pairs)
+    except TypeError:
+        raise MatchingError(f"{_show(pairs, repr)} is not a sequence of edges") from None
+    partner = matching.partner
+    top = len(partner)
+    for e in pairs:
+        if type(e) is not Edge:
+            break
+        a, b = e
+        if not (type(a) is int and type(b) is int and 0 < a < b <= top and partner[a - 1] == b):
+            break
+    else:
+        return pairs
+    edges = tuple(map(as_edge, pairs))
+    for e in edges:
+        if not matching.has_edge(e):
+            raise UnknownEdge(e)
+    return edges
 
 
 def _crossers(partner: tuple[int, ...], left: int, right: int) -> tuple[list, list]:
@@ -278,14 +304,11 @@ def _induced_partner(subset: tuple[Edge, ...]) -> tuple[int, ...]:
 
 
 def subpattern(matching: Matching, keep: Iterable[Iterable[int]]) -> Matching:
-    """The matching induced by a subset of edges, relabelled onto [2k].
-    Each edge is an endpoint pair in either order, normalized by as_edge;
-    an edge given twice is a DuplicateVertex on its left endpoint."""
+    """The matching induced by a subset of edges, taken as _host_edges takes
+    them, relabelled onto [2k]; an edge given twice is a DuplicateVertex on
+    its left endpoint."""
     kept = set()
-    for pair in keep:
-        e = as_edge(pair)
-        if not matching.has_edge(e):
-            raise UnknownEdge(e)
+    for e in _host_edges(matching, keep):
         if e in kept:
             raise DuplicateVertex(e.left)
         kept.add(e)

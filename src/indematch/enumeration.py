@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .core import Matching, _components
-from .errors import SizeCapExceeded, SizeTooSmall
+from .errors import SizeCapExceeded, _at_least
 from .patterns import PatternKind, max_pattern
 from .pins import _pin_nodes
 
@@ -94,8 +94,7 @@ def _host_shards(n_max: int, k: int) -> list[tuple[int, int, int]]:
 def _run_shards(worker: Callable, shards: list, jobs: int) -> list:
     """worker over every shard, results in shard order; one pool of
     min(jobs, len(shards)) processes when that is more than one."""
-    if jobs < 1:
-        raise SizeTooSmall(jobs, 1, "jobs")
+    _at_least(jobs, 1, "jobs")
     workers = min(jobs, len(shards))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -104,8 +103,7 @@ def _run_shards(worker: Callable, shards: list, jobs: int) -> list:
 
 
 def _check_cap(n: int, allow_large: bool) -> None:
-    if n < 0:
-        raise SizeTooSmall(n, 0, "n")
+    _at_least(n, 0, "n")
     if n > SOFT_CAP and not allow_large:
         raise SizeCapExceeded(n, SOFT_CAP)
 
@@ -132,8 +130,7 @@ def recurrence_counts(n_max: int) -> tuple[int, ...]:
     recurrence s_n = (n-1) * sum(s_i * s_{n-i}, i = 1..n-1), s_1 = 1.
     Index 0 of the result is unused (kept 0).
     """
-    if n_max < 1:
-        raise SizeTooSmall(n_max, 1, "n_max")
+    _at_least(n_max, 1, "n_max")
     s = [0] * (n_max + 1)
     s[1] = 1
     for n in range(2, n_max + 1):
@@ -163,12 +160,9 @@ def check_census(n: int, *, jobs: int = 1, allow_large: bool = False) -> None:
     """Raise what census(n, jobs=jobs, allow_large=allow_large) raises on
     its arguments, without streaming: a table of rows 1..n checks its last
     row before printing the first."""
-    if n < 1:
-        raise SizeTooSmall(n, 1, "n")
-    if jobs < 1:
-        raise SizeTooSmall(jobs, 1, "jobs")
-    if n > SOFT_CAP and not allow_large:
-        raise SizeCapExceeded(n, SOFT_CAP)
+    _at_least(n, 1, "n")
+    _at_least(jobs, 1, "jobs")
+    _check_cap(n, allow_large)
 
 
 def census(n: int, *, jobs: int = 1, allow_large: bool = False) -> CensusRow:
@@ -239,10 +233,8 @@ def scan_avoiders(
     """Find the indecomposable matchings with n <= n_max avoiding all three
     target structures at size k; report counts per n and the canonically
     first avoider of each size."""
-    if n_max < 1:
-        raise SizeTooSmall(n_max, 1, "n_max")
-    if k < 2:
-        raise SizeTooSmall(k, 2, "k")
+    _at_least(n_max, 1, "n_max")
+    _at_least(k, 2, "k")
     _check_cap(n_max, allow_large)
     _warn_large(n_max)
     shards = _host_shards(n_max, k)

@@ -78,6 +78,15 @@ class SizeTooSmall(MatchingError, ValueError):
         self.minimum = minimum
 
 
+def _at_least(value: object, minimum: int, what: str) -> None:
+    """The one check of a size argument: a MatchingError unless value is an
+    int (a bool is not one), and SizeTooSmall when it is below minimum."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MatchingError(f"{what} {_show(value, repr)} is not an integer")
+    if value < minimum:
+        raise SizeTooSmall(value, minimum, what)
+
+
 class DuplicateValue(MatchingError):
     def __init__(self, value) -> None:
         super().__init__(f"value {_show(value)} occurs more than once")

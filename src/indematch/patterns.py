@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .core import Edge, Matching, _crossers, make_matching
+from .core import Edge, Matching, _crossers, _host_edges, make_matching
 from .errors import (
     DuplicateValue,
     InsufficientCrossers,
     InvariantViolation,
     SizeCapExceeded,
-    SizeTooSmall,
-    UnknownEdge,
+    _at_least,
     _show,
 )
 from .pins import _walk_pins
@@ -61,8 +60,7 @@ def canonical_edges(kind: PatternKind, k: int) -> tuple[Edge, ...]:
     interleavings left to right, nestings outermost first, broken nestings
     breaker first and then outermost to innermost.
     """
-    if k < 1:
-        raise SizeTooSmall(k, 1, "pattern size")
+    _at_least(k, 1, "pattern size")
     if k > PATTERN_CAP:
         message = f"pattern size {_show(k)} exceeds the cap {PATTERN_CAP}"
         raise SizeCapExceeded(k, PATTERN_CAP, message)
@@ -71,8 +69,7 @@ def canonical_edges(kind: PatternKind, k: int) -> tuple[Edge, ...]:
     if kind is PatternKind.NESTING:
         return tuple(Edge(i, 2 * k + 1 - i) for i in range(1, k + 1))
     # A broken nesting needs a nested part and a breaker.
-    if k < 2:
-        raise SizeTooSmall(k, 2, "broken nesting size")
+    _at_least(k, 2, "broken nesting size")
     if kind is PatternKind.RIGHT_BROKEN_NESTING:
         return (Edge(k, 2 * k),) + tuple(Edge(i, 2 * k - i) for i in range(1, k))
     return (Edge(1, k + 1),) + tuple(Edge(i + 1, 2 * k - i + 1) for i in range(1, k))
@@ -141,10 +138,10 @@ def crossers(matching: Matching, e: Edge) -> tuple[tuple[Edge, ...], tuple[Edge,
     A left crosser f straddles e.left (f.left < e.left < f.right < e.right);
     a right crosser straddles e.right.  Every crosser has exactly one
     endpoint strictly inside e, so only those vertices of the partner table
-    are read: O(right - left), plus a sort of the left crossers.
+    are read: O(right - left), plus a sort of the left crossers.  The edge
+    is taken as core._host_edges takes each.
     """
-    if not matching.has_edge(e):
-        raise UnknownEdge(e)
+    (e,) = _host_edges(matching, (e,))
     left, right = _crossers(matching.partner, *e)
     return tuple(map(Edge._make, left)), tuple(map(Edge._make, right))
 
@@ -161,6 +158,8 @@ class Witness:
     nestings.  Interleavings and broken nestings are checked by ranking
     the endpoints onto [2k]: the ranked edges, in the order given, must
     equal canonical_edges.  Pin sequences are checked by the pin walk.
+    edges and breaker are taken as core._host_edges takes them, so a
+    Witness holds a tuple of Edges and an Edge breaker.
     """
 
     kind: WitnessKind
@@ -170,6 +169,9 @@ class Witness:
     breaker: Edge | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "edges", _host_edges(self.host, self.edges))
+        if self.breaker is not None:
+            object.__setattr__(self, "breaker", _host_edges(self.host, (self.breaker,))[0])
         self.verify()
 
     @property
@@ -181,9 +183,6 @@ class Witness:
             raise InvariantViolation("witness has no edges")
         if len(set(self.edges)) != len(self.edges):
             raise InvariantViolation("witness repeats an edge")
-        for e in self.edges:
-            if not self.host.has_edge(e):
-                raise UnknownEdge(e)
         if self.kind is WitnessKind.BROKEN_NESTING:
             if self.side is None or self.breaker is None:
                 raise InvariantViolation("broken-nesting witness lacks side or breaker")
@@ -213,12 +212,11 @@ def extract_from_crossed_edge(matching: Matching, e: Edge, k: int) -> Witness:
     is an interleaving on its own; a decreasing run of k-1 is a nested
     chain which e breaks, giving a size-k broken nesting.  With at least
     (k-1)^2 + 1 same-side crossers one of the two runs is guaranteed; with
-    fewer this is best effort and may raise.
+    fewer this is best effort and may raise.  The edge is taken as
+    core._host_edges takes each.
     """
-    if k < 2:
-        raise SizeTooSmall(k, 2, "target size")
-    if not matching.has_edge(e):
-        raise UnknownEdge(e)
+    _at_least(k, 2, "target size")
+    (e,) = _host_edges(matching, (e,))
     left, right = _crossers(matching.partner, *e)
     side = Side.LEFT if len(left) >= len(right) else Side.RIGHT
     chosen = left if side is Side.LEFT else right

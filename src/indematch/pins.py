@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .core import Edge, Matching, _crossers, as_edge, is_indecomposable
+from .core import Edge, Matching, _crossers, _host_edges, is_indecomposable
 from .errors import (
     DuplicatePin,
     InvariantViolation,
     NotIndecomposable,
     NotRightReaching,
     SizeTooSmall,
-    UnknownEdge,
+    _at_least,
 )
 
 
@@ -56,41 +56,28 @@ def _walk_pins(pins: Sequence[tuple[int, int]]) -> tuple[bool, bool]:
     return True, proper
 
 
-def _as_pin(pair: Iterable[int]) -> Edge:
-    """An Edge as it is; any other endpoint pair normalized by as_edge."""
-    return pair if type(pair) is Edge else as_edge(pair)
-
-
 def classify_sequence(matching: Matching, pins: Iterable[Iterable[int]]) -> PinSequence:
     """Decide the pin-sequence, properness and right-reaching properties.
 
-    The edges must be distinct edges of the matching, each an Edge or an
-    endpoint pair in either order, normalized by as_edge; the result holds
-    them as a tuple of Edges.  Length-1 sequences are proper pin sequences
-    by convention; for length 2 the properness condition is vacuous, so
+    The pins are taken as core._host_edges takes them, and the result holds
+    them as a tuple of Edges.  Checks run in this order: the pins must be
+    pairs (MatchingError), then edges of the matching (UnknownEdge), then
+    at least one (SizeTooSmall), then distinct (DuplicatePin, naming the
+    first repeat).  Length-1 sequences are proper pin sequences by
+    convention; for length 2 the properness condition is vacuous, so
     properness and the split condition coincide.
-
-    Valid pins are recognized by one pass over the partner table and one
-    set; only pins that fail it are checked in order, to name the first bad
-    one.
     """
-    pins = tuple(map(_as_pin, pins))
+    pins = _host_edges(matching, pins)
     if not pins:
         raise SizeTooSmall(0, 1, "pin sequence length")
-    partner, top = matching.partner, matching.top
-    if not (
-        all(0 < a < b <= top and partner[a - 1] == b for a, b in pins)
-        and len(set(pins)) == len(pins)
-    ):
+    if len(set(pins)) != len(pins):
         seen = set()
         for e in pins:
-            if not matching.has_edge(e):
-                raise UnknownEdge(e)
             if e in seen:
                 raise DuplicatePin(e)
             seen.add(e)
     is_ps, is_proper = _walk_pins(pins)
-    return PinSequence(matching, pins, is_ps, is_proper, top in pins[-1])
+    return PinSequence(matching, pins, is_ps, is_proper, matching.top in pins[-1])
 
 
 def grow_right_reaching(matching: Matching, start: Iterable[int]) -> tuple[Edge, ...]:
@@ -110,11 +97,9 @@ def grow_right_reaching(matching: Matching, start: Iterable[int]) -> tuple[Edge,
     greatest vertex whenever it splits.  Otherwise it is the edge at the
     first vertex below lo whose partner lies inside.  Each vertex is read
     once, when it enters the shadow, so the whole growth is O(n).  The start
-    is an Edge or an endpoint pair in either order, normalized by as_edge.
+    is one edge, taken as core._host_edges takes each.
     """
-    start = _as_pin(start)
-    if not matching.has_edge(start):
-        raise UnknownEdge(start)
+    (start,) = _host_edges(matching, (start,))
     if not is_indecomposable(matching):
         raise NotIndecomposable()
     top = matching.top
@@ -312,8 +297,7 @@ def build_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
     """The tree of proper right-reaching pin sequences of length at most
     depth_cap: every node of _pin_nodes, once the cap and host are checked,
     bucketed by length into breadth-first order."""
-    if depth_cap < 1:
-        raise SizeTooSmall(depth_cap, 1, "depth_cap")
+    _at_least(depth_cap, 1, "depth_cap")
     if not is_indecomposable(matching):
         raise NotIndecomposable()
     levels: list[list[tuple]] = [[] for _ in range(min(depth_cap, matching.n))]

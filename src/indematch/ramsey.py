@@ -23,7 +23,7 @@ from .errors import (
     MatchingError,
     NotIndecomposable,
     SizeCapExceeded,
-    SizeTooSmall,
+    _at_least,
     _show,
 )
 from .patterns import Witness, WitnessKind, extract_from_crossed_edge
@@ -52,8 +52,7 @@ def bounds(k: int) -> Bounds:
     """stated = (2k)^(2k); crossing_threshold = 2(k-1)^2 + 2; tree_bound =
     the geometric sum of per-level pin-tree sizes.  Exact arithmetic; the
     stated bound overflows 64 bits already at k = 5."""
-    if k < 2:
-        raise SizeTooSmall(k, 2, "k")
+    _at_least(k, 2, "k")
     if k > K_CAP:
         raise SizeCapExceeded(
             k,
@@ -197,8 +196,7 @@ def verify_theorem(n_max: int, k: int, *, jobs: int = 1) -> TheoremReport:
     """Run witness over every indecomposable matching with n <= n_max and
     check each outcome's internal consistency.  Inconsistencies become
     report entries, never exceptions."""
-    if n_max < 1:
-        raise SizeTooSmall(n_max, 1, "n_max")
+    _at_least(n_max, 1, "n_max")
     if n_max > EXHAUSTIVE_CAP:
         raise SizeCapExceeded(
             n_max,

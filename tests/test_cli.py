@@ -405,6 +405,18 @@ def test_render_svg_highlight_and_errors():
         render_svg(INT4, (Edge(1, 6),))
 
 
+def test_cli_passes_pairs_in_either_order_to_the_library(tmp_path, capsys):
+    assert main(["pins", str(CHAIN), "--start", "8-2"]) == 0
+    assert capsys.readouterr().out.startswith("start: 2-8\ngrown: 2-8  [")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"edges": [[5, 1], [4, 8]]}), encoding="utf-8")
+    assert main(["render", str(INT4), "--witness", str(cert)]) == 0
+    assert capsys.readouterr().out == render_svg(INT4, (Edge(1, 5), Edge(4, 8)))
+    cert.write_text(json.dumps({"edges": [[1, 6]]}), encoding="utf-8")
+    assert main(["render", str(INT4), "--witness", str(cert)]) == 1
+    assert capsys.readouterr().err == "error: edge 1-6 is not an edge of the matching\n"
+
+
 def test_render_svg_golden_file():
     report = witness(INT4, 2)
     expect = (DATA / "interleaving8.svg").read_text(encoding="utf-8")

@@ -361,6 +361,21 @@ def test_subpattern_takes_plain_pairs_in_either_order():
         subpattern(crossing, [(1,)])
     with pytest.raises(UnknownEdge):
         subpattern(crossing, [(1, 2)])
+    assert subpattern(crossing, iter([iter((3, 1))])) == single
+    # Not a sequence of pairs, or an Edge whose fields are not ints.
+    for keep in (None, 5, [None], [5], [Edge(3.0, 5)], [Edge(True, 3)]):
+        with pytest.raises(MatchingError):
+            subpattern(crossing, keep)
+
+
+def test_has_edge_reads_an_int_pair_and_partner_of_an_int_vertex():
+    assert CHAIN.has_edge((1, 6)) and CHAIN.has_edge([3, 5]) and CHAIN.has_edge(Edge(2, 8))
+    # Smaller endpoint first, as in an Edge; outside [1, 2n] is no edge.
+    assert not CHAIN.has_edge((6, 1))
+    assert not CHAIN.has_edge((0, 6)) and not CHAIN.has_edge((7, 9))
+    for vertex in (1.5, 1.0, True, False, None, "1"):
+        with pytest.raises(VertexOutOfRange):
+            CHAIN.partner_of(vertex)
 
 
 def test_contains_small_cases():

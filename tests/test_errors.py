@@ -5,7 +5,29 @@ import sys
 
 import pytest
 
-from indematch import errors
+from indematch import (
+    PatternKind,
+    Witness,
+    WitnessKind,
+    all_matchings,
+    bounds,
+    build_pin_tree,
+    canonical,
+    census,
+    check_census,
+    classify_sequence,
+    crossers,
+    errors,
+    extract_from_crossed_edge,
+    grow_right_reaching,
+    properize,
+    recurrence_counts,
+    scan_avoiders,
+    subpattern,
+    verify_theorem,
+    witness,
+)
+from indematch.cli import render_svg
 from indematch.core import Edge, as_edge, make_matching
 
 from helpers import EmptySegment
@@ -69,3 +91,77 @@ def test_messages_name_integers_past_the_digit_limit():
     with pytest.raises(errors.SelfLoop) as raised:
         as_edge((huge, huge))
     assert str(raised.value) == f"vertex {stand_in} is paired with itself"
+
+
+# One argument boundary: every edge argument is read by core._host_edges and
+# every size argument by errors._at_least, so each public function refuses a
+# bad one with a MatchingError and takes a pair in either order.
+CHAIN = make_matching([(3, 5), (4, 7), (1, 6), (2, 8)])
+PPS = WitnessKind.PROPER_PIN_SEQUENCE
+# Each edge-taking function, with the one edge e in the edge argument.
+EDGE_TAKERS = {
+    "subpattern": lambda e: subpattern(CHAIN, (e,)),
+    "classify_sequence": lambda e: classify_sequence(CHAIN, (e,)),
+    "grow_right_reaching": lambda e: grow_right_reaching(CHAIN, e),
+    "properize": lambda e: properize(CHAIN, (e, Edge(2, 8))),
+    "crossers": lambda e: crossers(CHAIN, e),
+    "extract_from_crossed_edge": lambda e: extract_from_crossed_edge(CHAIN, e, 2),
+    "Witness": lambda e: Witness(PPS, CHAIN, (e,)),
+    "render_svg": lambda e: render_svg(CHAIN, (e,)),
+}
+# The ones taking a sequence of edges, with the sequence s in its place.
+SEQUENCE_TAKERS = {
+    "subpattern": lambda s: subpattern(CHAIN, s),
+    "classify_sequence": lambda s: classify_sequence(CHAIN, s),
+    "properize": lambda s: properize(CHAIN, s),
+    "Witness": lambda s: Witness(PPS, CHAIN, s),
+    "render_svg": lambda s: render_svg(CHAIN, s),
+}
+# Each size-taking function, with v in the size argument.
+SIZE_TAKERS = {
+    "bounds": bounds,
+    "witness": lambda v: witness(CHAIN, v),
+    "canonical": lambda v: canonical(PatternKind.INTERLEAVING, v),
+    "build_pin_tree": lambda v: build_pin_tree(CHAIN, v),
+    "census": census,
+    "check_census": check_census,
+    "all_matchings": all_matchings,
+    "scan_avoiders n_max": lambda v: scan_avoiders(v, 3),
+    "scan_avoiders k": lambda v: scan_avoiders(3, v),
+    "verify_theorem n_max": lambda v: verify_theorem(v, 3),
+    "verify_theorem k": lambda v: verify_theorem(3, v),
+    "recurrence_counts": recurrence_counts,
+    "census jobs": lambda v: census(3, jobs=v),
+    "check_census jobs": lambda v: check_census(3, jobs=v),
+    "scan_avoiders jobs": lambda v: scan_avoiders(3, 3, jobs=v),
+    "verify_theorem jobs": lambda v: verify_theorem(3, 3, jobs=v),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_TAKERS)
+def test_every_edge_argument_refuses_what_is_not_an_int_pair(name):
+    for bad in (None, 5, (1,), Edge(3.0, 5), Edge(True, 6)):
+        with pytest.raises(errors.MatchingError):
+            EDGE_TAKERS[name](bad)
+
+
+@pytest.mark.parametrize("name", EDGE_TAKERS)
+def test_every_edge_argument_takes_a_pair_in_either_order(name):
+    want = EDGE_TAKERS[name](Edge(1, 6))
+    for pair in ((6, 1), [1, 6], iter((6, 1))):
+        assert EDGE_TAKERS[name](pair) == want, pair
+
+
+@pytest.mark.parametrize("name", SEQUENCE_TAKERS)
+def test_every_edge_sequence_must_be_iterable(name):
+    # render_svg reads None as no highlight.
+    for bad in (5, 2.5) if name == "render_svg" else (None, 5, 2.5):
+        with pytest.raises(errors.MatchingError, match="is not a sequence of edges$"):
+            SEQUENCE_TAKERS[name](bad)
+
+
+@pytest.mark.parametrize("name", SIZE_TAKERS)
+def test_every_size_argument_must_be_an_int(name):
+    for bad in (3.0, True, None, "3"):
+        with pytest.raises(errors.MatchingError, match="is not an integer$"):
+            SIZE_TAKERS[name](bad)

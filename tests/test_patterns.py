@@ -96,6 +96,11 @@ def test_canonical_size_bounds():
     with pytest.raises(SizeCapExceeded) as exc:
         canonical_edges(PatternKind.INTERLEAVING, PATTERN_CAP + 1)
     assert exc.value.cap == PATTERN_CAP
+    # A size that is not an int, a bool included, is refused before any check.
+    for kind in PatternKind:
+        for k in (3.0, True, None, "3"):
+            with pytest.raises(MatchingError, match="^pattern size .* is not an integer$"):
+                canonical(kind, k)
 
 
 def test_longest_monotone_fixtures():
@@ -204,6 +209,28 @@ def test_witness_construction():
         (Edge(3, 5), Edge(4, 7), Edge(1, 6), Edge(2, 8)),
     )
     assert pps.size == 4
+
+
+def test_witness_holds_edges_however_they_were_given():
+    want = Witness(
+        WitnessKind.BROKEN_NESTING,
+        RBN4,
+        (Edge(4, 8), Edge(1, 7), Edge(2, 6), Edge(3, 5)),
+        side=Side.RIGHT,
+        breaker=Edge(4, 8),
+    )
+    w = Witness(
+        WitnessKind.BROKEN_NESTING,
+        RBN4,
+        [[8, 4], (1, 7), iter((6, 2)), Edge(3, 5)],
+        side=Side.RIGHT,
+        breaker=[4, 8],
+    )
+    assert w == want and hash(w) == hash(want)
+    assert type(w.edges) is tuple and all(type(e) is Edge for e in w.edges)
+    assert type(w.breaker) is Edge
+    with pytest.raises(UnknownEdge):
+        Witness(WitnessKind.BROKEN_NESTING, RBN4, want.edges, side=Side.RIGHT, breaker=(4, 7))
 
 
 def test_witness_rejects_invalid_certificates():

@@ -266,7 +266,7 @@ def test_properize_is_idempotent_on_larger_hosts(m):
     assert_properize_is_idempotent(m)
 
 
-BAD_PINS = ((3, 5.0), None, (3, 5, 7), (3,), "35")
+BAD_PINS = ((3, 5.0), None, (3, 5, 7), (3,), "35", 5, Edge(3.0, 5), Edge(True, 6))
 
 
 def test_pin_functions_take_plain_pairs():

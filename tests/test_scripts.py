@@ -141,6 +141,26 @@ def test_no_function_calls_itself_by_name():
                 assert name != fn.name, (path.name, fn.name, node.lineno)
 
 
+def test_only_core_reads_edge_arguments():
+    # core._host_edges is the one boundary for edge arguments: no other
+    # module normalizes a pair, tests host membership or raises UnknownEdge.
+    package = ROOT / "src" / "indematch"
+    for path in sorted(package.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                target, banned = node.func, ("as_edge", "has_edge")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                target, banned = node.exc, ("UnknownEdge",)
+                if isinstance(target, ast.Call):
+                    target = target.func
+            else:
+                continue
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            assert name not in banned, (path.name, node.lineno, name)
+
+
 def test_every_workload_sets_up_with_a_clean_warm_up(monkeypatch):
     # Setup imports the package, generates the inputs and runs one checked
     # warm-up op; a change that breaks a workload's output must fail here.
