@@ -19,6 +19,7 @@ from .core import (
     Edge,
     Matching,
     _host_edges,
+    _partner_table,
     find_intervals,
     is_indecomposable,
     make_matching,
@@ -140,6 +141,7 @@ def _parse_chord_word(text: str) -> Matching:
 
 def format_matching(matching: Matching, form: str = "edges") -> str:
     """Render as 'edges' (a-b list) or 'chord' (canonical chord word)."""
+    partner = _partner_table(matching)
     if form == "edges":
         return str(matching)
     if form != "chord":
@@ -147,8 +149,7 @@ def format_matching(matching: Matching, form: str = "edges") -> str:
     label_of: dict[int, str] = {}
     word = []
     fresh = 0
-    for v in range(1, matching.top + 1):
-        p = matching.partner_of(v)
+    for v, p in enumerate(partner, 1):
         if v < p:
             label_of[v] = _label(fresh)
             fresh += 1
@@ -286,7 +287,7 @@ MARGIN = 30
 def render_svg(matching: Matching, highlight: Witness | Iterable | None = None) -> str:
     """Arc diagram: vertices on a baseline, one semicircle per edge, the
     highlighted edges (a Witness's, or edge pairs) drawn on top in their own stroke."""
-    if matching.n == 0:
+    if not _partner_table(matching):
         raise EmptyMatching("cannot render an empty matching")
     if isinstance(highlight, Witness):
         highlight = highlight.edges

@@ -30,9 +30,9 @@ from .errors import (
     GapInVertexSet,
     MatchingError,
     SelfLoop,
-    SizeTooSmall,
     UnknownEdge,
     VertexOutOfRange,
+    _at_least,
     _show,
 )
 
@@ -47,14 +47,20 @@ class Edge(NamedTuple):
         return f"{self.left}-{self.right}"
 
 
-def as_edge(pair: Iterable[int]) -> Edge:
-    """Normalize a pair of int endpoints into an Edge, smaller endpoint first."""
+def _int_pair(pair: Iterable[int]) -> tuple[int, int]:
+    """pair, read once, as two ints (a bool is not one), or a MatchingError."""
     try:
         a, b = pair
     except (TypeError, ValueError):
         a = b = None
     if not (isinstance(a, int) and isinstance(b, int)) or bool in (type(a), type(b)):
         raise MatchingError(f"endpoint pair {_show(pair, repr)} is not two integers")
+    return a, b
+
+
+def as_edge(pair: Iterable[int]) -> Edge:
+    """Normalize a pair of int endpoints into an Edge, smaller endpoint first."""
+    a, b = _int_pair(pair)
     if a == b:
         raise SelfLoop(a)
     return Edge(a, b) if a < b else Edge(b, a)
@@ -68,8 +74,7 @@ class Segment:
     hi: int
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise SizeTooSmall(self.hi, self.lo, "segment upper bound")
+        _at_least(self.hi, self.lo, "segment upper bound")
 
     def __contains__(self, vertex: int) -> bool:
         return self.lo <= vertex <= self.hi
@@ -113,13 +118,20 @@ class Matching:
 
     def has_edge(self, edge: Iterable[int]) -> bool:
         """Whether the int pair (left, right), smaller endpoint first, is an edge."""
-        left, right = edge
-        return 1 <= left < right and left <= len(self.partner) and self.partner[left - 1] == right
+        left, right = _int_pair(edge)
+        return 1 <= left < right <= len(self.partner) and self.partner[left - 1] == right
 
     def __str__(self) -> str:
         return " ".join(
             f"{v}-{w}" for v, w in enumerate(self.partner, start=1) if v < w
         )
+
+
+def _partner_table(matching: Matching) -> tuple[int, ...]:
+    """matching.partner, or a MatchingError when matching is not a Matching."""
+    if not isinstance(matching, Matching):
+        raise MatchingError(f"{_show(matching, repr)} is not a Matching")
+    return matching.partner
 
 
 def _host_edges(matching: Matching, pairs: Iterable[Iterable[int]]) -> tuple[Edge, ...]:
@@ -128,11 +140,11 @@ def _host_edges(matching: Matching, pairs: Iterable[Iterable[int]]) -> tuple[Edg
     holds come back untouched.  Otherwise each pair, in either order, is
     normalized by as_edge, and then the first that is not an edge of the
     matching is an UnknownEdge."""
+    partner = _partner_table(matching)
     try:
         pairs = tuple(pairs)
     except TypeError:
         raise MatchingError(f"{_show(pairs, repr)} is not a sequence of edges") from None
-    partner = matching.partner
     top = len(partner)
     for e in pairs:
         if type(e) is not Edge:
@@ -252,7 +264,7 @@ def find_intervals(matching: Matching) -> tuple[Segment, ...]:
     components, as in _components but dropping each closed one, records
     end; the chaining then costs one step per interval.
     """
-    partner = matching.partner
+    partner = _partner_table(matching)
     m = len(partner)
     end = [0] * (m + 2)  # end[lo]: the last vertex of the component from lo
     stack = ()
@@ -287,7 +299,7 @@ def is_indecomposable(matching: Matching) -> bool:
     it.  The empty matching and the single edge are indecomposable by
     convention.
     """
-    partner = matching.partner
+    partner = _partner_table(matching)
     return _components(partner, 1, len(partner), ()) is not None
 
 

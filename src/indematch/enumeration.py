@@ -25,13 +25,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .core import Matching, _components
-from .errors import SizeCapExceeded, _at_least
+from .errors import _at_least
 from .patterns import PatternKind, max_pattern
 from .pins import _pin_nodes
 
 # (2n - 1)!! matchings on [2n]: n = 9 means ~34M, minutes of streaming.
 # Beyond that the caller must opt in.
 SOFT_CAP = 9
+_LIFT = "; pass allow_large=True (--allow-large) to override"
 
 
 def _tables(
@@ -102,12 +103,6 @@ def _run_shards(worker: Callable, shards: list, jobs: int) -> list:
     return [worker(s) for s in shards]
 
 
-def _check_cap(n: int, allow_large: bool) -> None:
-    _at_least(n, 0, "n")
-    if n > SOFT_CAP and not allow_large:
-        raise SizeCapExceeded(n, SOFT_CAP)
-
-
 def _warn_large(n: int) -> None:
     if n > SOFT_CAP:
         message = f"enumerating all matchings at n={n} streams {2 * n - 1}!! items"
@@ -119,7 +114,7 @@ def all_matchings(n: int, *, allow_large: bool = False) -> Iterator[Matching]:
 
     The cap is checked eagerly, before the first item is drawn.
     """
-    _check_cap(n, allow_large)
+    _at_least(n, 0, "n", None if allow_large else SOFT_CAP, _LIFT)
     _warn_large(n)
     partner = [0] * (2 * n)
     return (Matching(tuple(partner)) for _ in _tables(partner, decide=False))
@@ -160,9 +155,8 @@ def check_census(n: int, *, jobs: int = 1, allow_large: bool = False) -> None:
     """Raise what census(n, jobs=jobs, allow_large=allow_large) raises on
     its arguments, without streaming: a table of rows 1..n checks its last
     row before printing the first."""
-    _at_least(n, 1, "n")
+    _at_least(n, 1, "n", None if allow_large else SOFT_CAP, _LIFT)
     _at_least(jobs, 1, "jobs")
-    _check_cap(n, allow_large)
 
 
 def census(n: int, *, jobs: int = 1, allow_large: bool = False) -> CensusRow:
@@ -233,9 +227,8 @@ def scan_avoiders(
     """Find the indecomposable matchings with n <= n_max avoiding all three
     target structures at size k; report counts per n and the canonically
     first avoider of each size."""
-    _at_least(n_max, 1, "n_max")
+    _at_least(n_max, 1, "n_max", None if allow_large else SOFT_CAP, _LIFT)
     _at_least(k, 2, "k")
-    _check_cap(n_max, allow_large)
     _warn_large(n_max)
     shards = _host_shards(n_max, k)
     counts = dict.fromkeys(range(1, n_max + 1), 0)

@@ -78,13 +78,23 @@ class SizeTooSmall(MatchingError, ValueError):
         self.minimum = minimum
 
 
-def _at_least(value: object, minimum: int, what: str) -> None:
+class SizeCapExceeded(MatchingError):
+    def __init__(self, n: int, cap: int, what: str = "size", why: str = "") -> None:
+        super().__init__(f"{what} {_show(n)} exceeds the cap {_show(cap)}{why}")
+        self.n = n
+        self.cap = cap
+
+
+def _at_least(value: object, minimum: int, what: str, cap: int | None = None, why: str = "") -> None:
     """The one check of a size argument: a MatchingError unless value is an
-    int (a bool is not one), and SizeTooSmall when it is below minimum."""
+    int (a bool is not one), SizeTooSmall when it is below minimum, and
+    SizeCapExceeded, its message ending in why, when it is past cap."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise MatchingError(f"{what} {_show(value, repr)} is not an integer")
     if value < minimum:
         raise SizeTooSmall(value, minimum, what)
+    if cap is not None and value > cap:
+        raise SizeCapExceeded(value, cap, what, why)
 
 
 class DuplicateValue(MatchingError):
@@ -95,17 +105,6 @@ class DuplicateValue(MatchingError):
 
 class InsufficientCrossers(MatchingError):
     """The crossers of an edge hold no run long enough for the target size."""
-
-
-class SizeCapExceeded(MatchingError):
-    def __init__(self, n: int, cap: int, message: str | None = None) -> None:
-        super().__init__(
-            message
-            or f"n={_show(n)} exceeds the soft cap of {cap}; "
-            "pass allow_large=True (--allow-large) to override"
-        )
-        self.n = n
-        self.cap = cap
 
 
 class EmptyMatching(MatchingError):

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .core import Edge, Matching, _crossers, _host_edges, make_matching
+from .core import Edge, Matching, _crossers, _host_edges, _partner_table, make_matching
 from .errors import (
     DuplicateValue,
     InsufficientCrossers,
     InvariantViolation,
-    SizeCapExceeded,
+    MatchingError,
     _at_least,
     _show,
 )
@@ -55,15 +55,19 @@ class WitnessKind(Enum):
     PROPER_PIN_SEQUENCE = "proper_pin_sequence"
 
 
+def _pattern_kind(kind: object) -> None:
+    """A MatchingError unless kind is a PatternKind; a string is not one."""
+    if not isinstance(kind, PatternKind):
+        raise MatchingError(f"kind {_show(kind, repr)} is not a PatternKind")
+
+
 def canonical_edges(kind: PatternKind, k: int) -> tuple[Edge, ...]:
     """Edges of the canonical pattern with k edges, in semantic order:
     interleavings left to right, nestings outermost first, broken nestings
     breaker first and then outermost to innermost.
     """
-    _at_least(k, 1, "pattern size")
-    if k > PATTERN_CAP:
-        message = f"pattern size {_show(k)} exceeds the cap {PATTERN_CAP}"
-        raise SizeCapExceeded(k, PATTERN_CAP, message)
+    _pattern_kind(kind)
+    _at_least(k, 1, "pattern size", PATTERN_CAP)
     if kind is PatternKind.INTERLEAVING:
         return tuple(Edge(i, i + k) for i in range(1, k + 1))
     if kind is PatternKind.NESTING:
@@ -72,7 +76,9 @@ def canonical_edges(kind: PatternKind, k: int) -> tuple[Edge, ...]:
     _at_least(k, 2, "broken nesting size")
     if kind is PatternKind.RIGHT_BROKEN_NESTING:
         return (Edge(k, 2 * k),) + tuple(Edge(i, 2 * k - i) for i in range(1, k))
-    return (Edge(1, k + 1),) + tuple(Edge(i + 1, 2 * k - i + 1) for i in range(1, k))
+    if kind is PatternKind.LEFT_BROKEN_NESTING:
+        return (Edge(1, k + 1),) + tuple(Edge(i + 1, 2 * k - i + 1) for i in range(1, k))
+    raise InvariantViolation(f"{kind} has no canonical edges")
 
 
 def canonical(kind: PatternKind, k: int) -> Matching:
@@ -179,12 +185,14 @@ class Witness:
         return len(self.edges)
 
     def verify(self) -> None:
+        if not isinstance(self.kind, WitnessKind):
+            raise InvariantViolation(f"witness kind {_show(self.kind, repr)} is not a WitnessKind")
         if not self.edges:
             raise InvariantViolation("witness has no edges")
         if len(set(self.edges)) != len(self.edges):
             raise InvariantViolation("witness repeats an edge")
         if self.kind is WitnessKind.BROKEN_NESTING:
-            if self.side is None or self.breaker is None:
+            if not isinstance(self.side, Side) or self.breaker is None:
                 raise InvariantViolation("broken-nesting witness lacks side or breaker")
             if self.breaker != self.edges[0]:
                 raise InvariantViolation("breaker is not the leading witness edge")
@@ -260,6 +268,8 @@ def max_pattern(matching: Matching, kind: PatternKind) -> tuple[int, tuple[Edge,
     edges, and a broken nesting is a nested chain inside the left (right)
     crossers of its breaker.  (0, ()) when no pattern of the kind occurs.
     """
+    _partner_table(matching)
+    _pattern_kind(kind)
     edges = matching.edges()
     # Right endpoints of distinct edges are distinct: no DuplicateValue check.
     if kind is PatternKind.NESTING:

@@ -20,7 +20,6 @@ from .errors import (
     InvariantViolation,
     NotIndecomposable,
     NotRightReaching,
-    SizeTooSmall,
     _at_least,
 )
 
@@ -68,8 +67,7 @@ def classify_sequence(matching: Matching, pins: Iterable[Iterable[int]]) -> PinS
     properness and the split condition coincide.
     """
     pins = _host_edges(matching, pins)
-    if not pins:
-        raise SizeTooSmall(0, 1, "pin sequence length")
+    _at_least(len(pins), 1, "pin sequence length")
     if len(set(pins)) != len(pins):
         seen = set()
         for e in pins:

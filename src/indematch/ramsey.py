@@ -22,9 +22,7 @@ from .errors import (
     InvariantViolation,
     MatchingError,
     NotIndecomposable,
-    SizeCapExceeded,
     _at_least,
-    _show,
 )
 from .patterns import Witness, WitnessKind, extract_from_crossed_edge
 from .pins import _pin_nodes
@@ -52,13 +50,7 @@ def bounds(k: int) -> Bounds:
     """stated = (2k)^(2k); crossing_threshold = 2(k-1)^2 + 2; tree_bound =
     the geometric sum of per-level pin-tree sizes.  Exact arithmetic; the
     stated bound overflows 64 bits already at k = 5."""
-    _at_least(k, 2, "k")
-    if k > K_CAP:
-        raise SizeCapExceeded(
-            k,
-            K_CAP,
-            f"k={_show(k)} exceeds the cap of {K_CAP}: (2k)^(2k) would pass 4300 digits",
-        )
+    _at_least(k, 2, "k", K_CAP, ": (2k)^(2k) would pass 4300 digits")
     ratio = 2 * (k - 1) ** 2 + 1
     return Bounds(
         k=k,
@@ -196,13 +188,7 @@ def verify_theorem(n_max: int, k: int, *, jobs: int = 1) -> TheoremReport:
     """Run witness over every indecomposable matching with n <= n_max and
     check each outcome's internal consistency.  Inconsistencies become
     report entries, never exceptions."""
-    _at_least(n_max, 1, "n_max")
-    if n_max > EXHAUSTIVE_CAP:
-        raise SizeCapExceeded(
-            n_max,
-            EXHAUSTIVE_CAP,
-            f"n={_show(n_max)} exceeds the exhaustive cap of {EXHAUSTIVE_CAP}",
-        )
+    _at_least(n_max, 1, "n_max", EXHAUSTIVE_CAP, "; exhaustive verification has no override")
     bounds(k)
     total: Counter[str] = Counter()
     failures: list[str] = []

@@ -511,7 +511,7 @@ def test_census_refuses_past_the_cap_before_the_first_row(capsys):
     assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: n=10 exceeds the soft cap of 9")
+    assert err.startswith("error: n 10 exceeds the cap 9")
 
 
 @pytest.mark.parametrize("command", [["census", "-n", "10"], ["scan", "-n", "10", "-k", "3"]])
@@ -519,8 +519,9 @@ def test_past_the_cap_the_message_names_the_flag(capsys, command):
     assert main(command) == 1
     out, err = capsys.readouterr()
     assert out == ""
+    what = {"census": "n", "scan": "n_max"}[command[0]]
     assert err == (
-        "error: n=10 exceeds the soft cap of 9; "
+        f"error: {what} 10 exceeds the cap 9; "
         "pass allow_large=True (--allow-large) to override\n"
     )
 
@@ -644,7 +645,7 @@ def test_cli_refuses_k_past_the_cap(capsys):
     capsys.readouterr()
     assert main(["witness", "-k", "800", "1-3 2-4"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: k=800 exceeds the cap") and err.count("\n") == 1
+    assert err.startswith("error: k 800 exceeds the cap") and err.count("\n") == 1
 
 
 def test_cli_refuses_n_past_the_exhaustive_cap(capsys):
@@ -652,7 +653,7 @@ def test_cli_refuses_n_past_the_exhaustive_cap(capsys):
     capsys.readouterr()
     assert main(["verify", "-n", "9", "-k", "3"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: n=9 exceeds the exhaustive cap of 8")
+    assert err.startswith("error: n_max 9 exceeds the cap 8")
     assert err.count("\n") == 1 and "allow_large" not in err
 
 

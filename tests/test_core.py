@@ -378,6 +378,13 @@ def test_has_edge_reads_an_int_pair_and_partner_of_an_int_vertex():
             CHAIN.partner_of(vertex)
 
 
+def test_has_edge_refuses_what_is_not_an_int_pair():
+    # Read as core._host_edges reads a pair: two ints, and a bool is not one.
+    for bad in (None, 5, (1,), (1.5, 3), (True, 6), Edge(1, 6.0), "16"):
+        with pytest.raises(MatchingError, match="is not two integers$"):
+            CHAIN.has_edge(bad)
+
+
 def test_contains_small_cases():
     crossing = make_matching([(1, 3), (2, 4)])
     nesting = make_matching([(1, 4), (2, 3)])

@@ -2,6 +2,7 @@
 diagnostic; the CLI leans on both."""
 
 import sys
+import time
 
 import pytest
 
@@ -13,13 +14,17 @@ from indematch import (
     bounds,
     build_pin_tree,
     canonical,
+    canonical_edges,
     census,
     check_census,
     classify_sequence,
     crossers,
     errors,
     extract_from_crossed_edge,
+    find_intervals,
     grow_right_reaching,
+    is_indecomposable,
+    max_pattern,
     properize,
     recurrence_counts,
     scan_avoiders,
@@ -27,8 +32,11 @@ from indematch import (
     verify_theorem,
     witness,
 )
-from indematch.cli import render_svg
+from indematch.cli import format_matching, render_svg
 from indematch.core import Edge, as_edge, make_matching
+from indematch.enumeration import SOFT_CAP
+from indematch.patterns import PATTERN_CAP
+from indematch.ramsey import EXHAUSTIVE_CAP, K_CAP
 
 from helpers import EmptySegment
 
@@ -59,8 +67,8 @@ def test_messages_and_attributes():
     e = errors.SizeTooSmall(1, 2, "k")
     assert str(e) == "k 1 is below the minimum 2"
 
-    e = errors.SizeCapExceeded(12, 9)
-    assert "n=12 exceeds the soft cap of 9" in str(e)
+    e = errors.SizeCapExceeded(12, 9, "n")
+    assert str(e) == "n 12 exceeds the cap 9"
     assert (e.n, e.cap) == (12, 9)
 
     e = errors.ParseError("expected a-b, got '3'", 5)
@@ -165,3 +173,68 @@ def test_every_size_argument_must_be_an_int(name):
     for bad in (3.0, True, None, "3"):
         with pytest.raises(errors.MatchingError, match="is not an integer$"):
             SIZE_TAKERS[name](bad)
+
+
+# Every cap on a size argument is read by errors._at_least too: one past it
+# is refused before any work, in one message form.
+LIFT = "; pass allow_large=True (--allow-large) to override"
+DIGITS = ": (2k)^(2k) would pass 4300 digits"
+# Each capped size argument: the call with v in it, the cap, the size's
+# name and the end of the message.
+CAP_TAKERS = {
+    "all_matchings": (all_matchings, SOFT_CAP, "n", LIFT),
+    "census": (census, SOFT_CAP, "n", LIFT),
+    "check_census": (check_census, SOFT_CAP, "n", LIFT),
+    "scan_avoiders": (lambda v: scan_avoiders(v, 3), SOFT_CAP, "n_max", LIFT),
+    "verify_theorem": (
+        lambda v: verify_theorem(v, 3),
+        EXHAUSTIVE_CAP,
+        "n_max",
+        "; exhaustive verification has no override",
+    ),
+    "bounds": (bounds, K_CAP, "k", DIGITS),
+    "witness": (lambda v: witness(CHAIN, v), K_CAP, "k", DIGITS),
+    "canonical_edges": (
+        lambda v: canonical_edges(PatternKind.INTERLEAVING, v),
+        PATTERN_CAP,
+        "pattern size",
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CAP_TAKERS)
+def test_every_cap_refuses_one_past_it_at_once(name):
+    call, cap, what, why = CAP_TAKERS[name]
+    start = time.perf_counter()
+    with pytest.raises(errors.SizeCapExceeded) as raised:
+        call(cap + 1)
+    assert time.perf_counter() - start < 1.0
+    assert str(raised.value) == f"{what} {cap + 1} exceeds the cap {cap}{why}"
+    assert (raised.value.n, raised.value.cap) == (cap + 1, cap)
+
+
+# Each function taking a matching, with m in its place.
+MATCHING_TAKERS = {
+    "is_indecomposable": is_indecomposable,
+    "find_intervals": find_intervals,
+    "witness": lambda m: witness(m, 2),
+    "build_pin_tree": lambda m: build_pin_tree(m, 2),
+    "subpattern": lambda m: subpattern(m, [(1, 3)]),
+    "classify_sequence": lambda m: classify_sequence(m, [(1, 3)]),
+    "grow_right_reaching": lambda m: grow_right_reaching(m, (1, 3)),
+    "properize": lambda m: properize(m, [(1, 3), (2, 4)]),
+    "crossers": lambda m: crossers(m, (1, 3)),
+    "extract_from_crossed_edge": lambda m: extract_from_crossed_edge(m, (1, 3), 2),
+    "Witness": lambda m: Witness(PPS, m, [(1, 3)]),
+    "max_pattern": lambda m: max_pattern(m, PatternKind.INTERLEAVING),
+    "format_matching": format_matching,
+    "render_svg": render_svg,
+}
+
+
+@pytest.mark.parametrize("name", MATCHING_TAKERS)
+def test_every_matching_argument_must_be_a_matching(name):
+    for bad in ([(1, 3), (2, 4)], (2, 1, 4, 3), None):
+        with pytest.raises(errors.MatchingError, match="is not a Matching$"):
+            MATCHING_TAKERS[name](bad)

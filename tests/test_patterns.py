@@ -284,6 +284,25 @@ def test_witness_rejects_invalid_certificates():
         )
 
 
+@pytest.mark.parametrize("kind", [WitnessKind.INTERLEAVING, "nesting", None])
+def test_pattern_functions_refuse_what_is_not_a_pattern_kind(kind):
+    with pytest.raises(MatchingError, match="is not a PatternKind$"):
+        canonical_edges(kind, 3)
+    with pytest.raises(MatchingError, match="is not a PatternKind$"):
+        max_pattern(INT4, kind)
+
+
+def test_witness_refuses_a_kind_or_side_of_the_wrong_type():
+    for kind in ("interleaving", None):
+        with pytest.raises(InvariantViolation, match="is not a WitnessKind$"):
+            Witness(kind, INT4, (Edge(1, 5), Edge(2, 6)))
+    nest = (Edge(4, 8), Edge(1, 7), Edge(2, 6), Edge(3, 5))
+    for side in ("right", 0):
+        with pytest.raises(InvariantViolation):
+            Witness(WitnessKind.BROKEN_NESTING, RBN4, nest, side=side, breaker=Edge(4, 8))
+    Witness(WitnessKind.BROKEN_NESTING, RBN4, nest, side=Side.RIGHT, breaker=Edge(4, 8))
+
+
 # Each claim a tuple can be checked as, with the pattern max_pattern finds.
 CLAIMS = (
     (WitnessKind.INTERLEAVING, None, PatternKind.INTERLEAVING),

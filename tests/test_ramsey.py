@@ -49,7 +49,7 @@ def test_bounds_refuse_k_past_the_cap():
     # one past it would not.
     assert len(str(bounds(K_CAP).stated)) <= 4300
     assert 2 * (K_CAP + 1) * math.log10(2 * (K_CAP + 1)) >= 4300
-    with pytest.raises(SizeCapExceeded, match=f"k={K_CAP + 1} exceeds the cap"):
+    with pytest.raises(SizeCapExceeded, match=f"k {K_CAP + 1} exceeds the cap"):
         bounds(K_CAP + 1)
 
 

@@ -53,7 +53,7 @@ def test_script_runs(name, args, header):
     "args, message",
     [
         (["-n", "0"], "error: n 0 is below the minimum 1"),
-        (["-n", "10"], "error: n=10 exceeds the soft cap of 9"),
+        (["-n", "10"], "error: n 10 exceeds the cap 9"),
         (["-n", "3", "-j", "0"], "error: jobs 0 is below the minimum 1"),
         (["-n", "3", "-j", "-5"], "error: jobs -5 is below the minimum 1"),
     ],
@@ -159,6 +159,21 @@ def test_only_core_reads_edge_arguments():
                 continue
             name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
             assert name not in banned, (path.name, node.lineno, name)
+
+
+def test_only_errors_raises_size_errors():
+    # errors._at_least is the one reader of a size argument's minimum and
+    # cap: no other module raises SizeTooSmall or SizeCapExceeded.
+    package = ROOT / "src" / "indematch"
+    for path in sorted(package.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Raise) and node.exc is not None):
+                continue
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            assert name not in ("SizeTooSmall", "SizeCapExceeded"), (path.name, node.lineno)
 
 
 def test_every_workload_sets_up_with_a_clean_warm_up(monkeypatch):
