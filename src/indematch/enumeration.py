@@ -11,9 +11,10 @@ scans.
 The stream decides indecomposability as it completes each table, by the
 crossing-component pass in core's module docstring.  All vertices below
 the smallest free vertex are matched, so each pairing folds the vertices
-it finishes into its frame's open components.  Once a component closes the
-branch stops that work but still completes and yields every table below
-it.
+it finishes into its frame's open components.  The last four free
+vertices are completed in place, with no frame, three tables at a time.
+Once a component closes the branch stops that work but still completes
+and yields every table below it.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from .pins import _pin_nodes
 # Beyond that the caller must opt in.
 SOFT_CAP = 9
 _LIFT = "; pass allow_large=True (--allow-large) to override"
+# The recurrence's big-int sums cost about n_max**3: 500 takes a fifth of a
+# second, 1000 several seconds.
+RECURRENCE_CAP = 500
+_NO_LIFT = "; the recurrence has no override"
 
 
 def _tables(
@@ -45,8 +50,10 @@ def _tables(
 
     A frame pairs free[0] with free[i] for each i in its choices in turn.
     Its stack holds the open components of the vertices below free[0]; it
-    is None without decide or once one has closed.  The last two free
-    vertices are paired inline.
+    is None without decide or once one has closed.  A pairing that leaves
+    four free vertices c < d < e < f pushes no frame: it folds the
+    vertices below c once and writes the three pairings c-d e-f, c-e d-f
+    and c-f d-e in place.  One that leaves two pairs them inline.
     """
     m = len(partner)
     if not m:
@@ -64,8 +71,17 @@ def _tables(
             rest = free[1:i] + free[i + 1 :]
             if len(rest) > 2:
                 folded = None if stack is None else _components(partner, a, rest[0], stack)
-                frames.append((rest, iter(range(1, len(rest))), folded))
-                break
+                if len(rest) > 4:
+                    frames.append((rest, iter(range(1, len(rest))), folded))
+                    break
+                c, d, e, f = rest
+                for x, y, z in ((d, e, f), (e, d, f), (f, d, e)):
+                    partner[c - 1] = x
+                    partner[x - 1] = c
+                    partner[y - 1] = z
+                    partner[z - 1] = y
+                    yield folded is not None and _components(partner, c, m, folded) is not None
+                continue
             if rest:
                 c, d = rest
                 partner[c - 1] = d
@@ -125,7 +141,7 @@ def recurrence_counts(n_max: int) -> tuple[int, ...]:
     recurrence s_n = (n-1) * sum(s_i * s_{n-i}, i = 1..n-1), s_1 = 1.
     Index 0 of the result is unused (kept 0).
     """
-    _at_least(n_max, 1, "n_max")
+    _at_least(n_max, 1, "n_max", RECURRENCE_CAP, _NO_LIFT)
     s = [0] * (n_max + 1)
     s[1] = 1
     for n in range(2, n_max + 1):
@@ -155,6 +171,7 @@ def check_census(n: int, *, jobs: int = 1, allow_large: bool = False) -> None:
     """Raise what census(n, jobs=jobs, allow_large=allow_large) raises on
     its arguments, without streaming: a table of rows 1..n checks its last
     row before printing the first."""
+    _at_least(n, 1, "n", RECURRENCE_CAP, _NO_LIFT)
     _at_least(n, 1, "n", None if allow_large else SOFT_CAP, _LIFT)
     _at_least(jobs, 1, "jobs")
 

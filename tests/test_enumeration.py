@@ -15,7 +15,7 @@ from indematch import (
     scan_avoiders,
     verify_theorem,
 )
-from indematch.enumeration import SOFT_CAP
+from indematch.enumeration import RECURRENCE_CAP, SOFT_CAP
 from indematch.errors import MatchingError, SizeCapExceeded, SizeTooSmall
 from indematch.patterns import PatternKind
 
@@ -91,6 +91,49 @@ def test_the_stream_reaches_its_first_table_at_n_2000():
     assert sorted(partner) == list(range(1, 4001))
 
 
+def _streamed(n, first_partner=None, decide=True):
+    partner = [0] * (2 * n)
+    stream = enumeration._tables(partner, first_partner, decide=decide)
+    return [(tuple(partner), flag) for flag in stream]
+
+
+def test_without_decide_every_flag_is_false_and_every_table_the_reference():
+    for n in range(1, 8):
+        for fp in [None, *range(2, 2 * n + 1)]:
+            if fp is None:
+                ref = reference_partner_tuples(n)
+            else:
+                ref = reference_partner_tuples_shard(n, fp)
+            assert _streamed(n, fp, decide=False) == [(t, False) for t in ref], (n, fp)
+
+
+def test_the_smallest_streams_complete_from_the_root_frame():
+    # n = 3: the root's pairing leaves four free vertices, whose three
+    # pairings are written in place with no frame pushed.
+    assert _streamed(3, 3) == [
+        ((3, 4, 1, 2, 6, 5), False),
+        ((3, 5, 1, 6, 2, 4), True),
+        ((3, 6, 1, 5, 4, 2), False),
+    ]
+    assert _streamed(3, 6) == [
+        ((6, 3, 2, 5, 4, 1), False),
+        ((6, 4, 5, 2, 3, 1), False),
+        ((6, 5, 4, 3, 2, 1), False),
+    ]
+    assert [t for t, flag in _streamed(3) if flag] == [
+        (3, 5, 1, 6, 2, 4),
+        (4, 5, 6, 1, 2, 3),
+        (4, 6, 5, 1, 3, 2),
+        (5, 4, 6, 2, 1, 3),
+    ]
+    # n = 2: the root's pairing leaves two, paired inline.
+    assert _streamed(2) == [((2, 1, 4, 3), False), ((3, 4, 1, 2), True), ((4, 3, 2, 1), False)]
+    assert _streamed(2, 3) == [((3, 4, 1, 2), True)]
+    assert _streamed(1) == _streamed(1, 2) == [((2, 1), True)]
+    assert _streamed(0) == [((), True)]
+    assert _streamed(0, decide=False) == [((), False)]
+
+
 def test_all_matchings_is_the_reference_stream():
     for n in range(7):
         assert [m.partner for m in all_matchings(n)] == list(reference_partner_tuples(n)), n
@@ -100,6 +143,10 @@ def test_recurrence_counts():
     assert recurrence_counts(7) == (0, 1, 1, 4, 27, 248, 2830, 38232)
     with pytest.raises(SizeTooSmall):
         recurrence_counts(0)
+    # The largest allowed call, and census may go up to it with allow_large.
+    table = recurrence_counts(RECURRENCE_CAP)
+    assert len(table) == RECURRENCE_CAP + 1 and table[8] == 593859
+    check_census(RECURRENCE_CAP, allow_large=True)
 
 
 def test_census_rows():

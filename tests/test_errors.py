@@ -34,7 +34,7 @@ from indematch import (
 )
 from indematch.cli import format_matching, render_svg
 from indematch.core import Edge, as_edge, make_matching
-from indematch.enumeration import SOFT_CAP
+from indematch.enumeration import RECURRENCE_CAP, SOFT_CAP
 from indematch.patterns import PATTERN_CAP
 from indematch.ramsey import EXHAUSTIVE_CAP, K_CAP
 
@@ -179,6 +179,7 @@ def test_every_size_argument_must_be_an_int(name):
 # is refused before any work, in one message form.
 LIFT = "; pass allow_large=True (--allow-large) to override"
 DIGITS = ": (2k)^(2k) would pass 4300 digits"
+NO_LIFT = "; the recurrence has no override"
 # Each capped size argument: the call with v in it, the cap, the size's
 # name and the end of the message.
 CAP_TAKERS = {
@@ -186,6 +187,15 @@ CAP_TAKERS = {
     "census": (census, SOFT_CAP, "n", LIFT),
     "check_census": (check_census, SOFT_CAP, "n", LIFT),
     "scan_avoiders": (lambda v: scan_avoiders(v, 3), SOFT_CAP, "n_max", LIFT),
+    # census reads the recurrence at n, so even allow_large stops at its cap.
+    "recurrence_counts": (recurrence_counts, RECURRENCE_CAP, "n_max", NO_LIFT),
+    "census allow_large": (lambda v: census(v, allow_large=True), RECURRENCE_CAP, "n", NO_LIFT),
+    "check_census allow_large": (
+        lambda v: check_census(v, allow_large=True),
+        RECURRENCE_CAP,
+        "n",
+        NO_LIFT,
+    ),
     "verify_theorem": (
         lambda v: verify_theorem(v, 3),
         EXHAUSTIVE_CAP,

@@ -161,6 +161,46 @@ def test_only_core_reads_edge_arguments():
             assert name not in banned, (path.name, node.lineno, name)
 
 
+def _called(node, name):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def test_only_core_folds_crossing_components():
+    # core._components is the one fold of the open crossing components, a
+    # linked stack of (lo, hi, below) triples (find_intervals runs its own
+    # copy in core): no other module pushes such a triple, walks one down in
+    # a merge loop, or unpacks a stack that it passes to or gets from
+    # _components.
+    package = ROOT / "src" / "indematch"
+    for path in sorted(package.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = list(ast.walk(fn))
+            folds = [node for node in nodes if _called(node, "_components")]
+            stacks = {arg.id for call in folds for arg in call.args if isinstance(arg, ast.Name)}
+            stacks |= {
+                t.id
+                for node in nodes
+                if isinstance(node, ast.Assign) and any(c in folds for c in ast.walk(node.value))
+                for t in node.targets
+                if isinstance(t, ast.Name)
+            }
+            for node in nodes:
+                if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+                    continue
+                (target,), value = node.targets, node.value
+                names = [e.id for e in getattr(target, "elts", ()) if isinstance(e, ast.Name)]
+                # stack = (v, p, stack) pushes; lo, top, below = below walks down.
+                pushed = isinstance(value, ast.Tuple) and len(value.elts) == 3
+                pushed = pushed and ast.dump(value.elts[-1]) == ast.dump(target)
+                unpacked = len(names) == 3 and isinstance(value, ast.Name)
+                unpacked = unpacked and (value.id in names or value.id in stacks)
+                assert not (pushed or unpacked), (path.name, node.lineno)
+
+
 def test_only_errors_raises_size_errors():
     # errors._at_least is the one reader of a size argument's minimum and
     # cap: no other module raises SizeTooSmall or SizeCapExceeded.
