@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -51,9 +50,10 @@ def _tables(
     A frame pairs free[0] with free[i] for each i in its choices in turn.
     Its stack holds the open components of the vertices below free[0]; it
     is None without decide or once one has closed.  A pairing that leaves
-    four free vertices c < d < e < f pushes no frame: it folds the
-    vertices below c once and writes the three pairings c-d e-f, c-e d-f
-    and c-f d-e in place.  One that leaves two pairs them inline.
+    no free vertex yields its flag.  Any other folds the vertices below
+    the smallest free one, c, once; then with four free, c < d < e < f, it
+    writes the three pairings c-d e-f, c-e d-f and c-f d-e in place, and
+    with more or fewer it pushes a frame.
     """
     m = len(partner)
     if not m:
@@ -69,24 +69,20 @@ def _tables(
             partner[a - 1] = b
             partner[b - 1] = a
             rest = free[1:i] + free[i + 1 :]
-            if len(rest) > 2:
-                folded = None if stack is None else _components(partner, a, rest[0], stack)
-                if len(rest) > 4:
-                    frames.append((rest, iter(range(1, len(rest))), folded))
-                    break
-                c, d, e, f = rest
-                for x, y, z in ((d, e, f), (e, d, f), (f, d, e)):
-                    partner[c - 1] = x
-                    partner[x - 1] = c
-                    partner[y - 1] = z
-                    partner[z - 1] = y
-                    yield folded is not None and _components(partner, c, m, folded) is not None
+            if not rest:
+                yield stack is not None and _components(partner, a, m, stack) is not None
                 continue
-            if rest:
-                c, d = rest
-                partner[c - 1] = d
-                partner[d - 1] = c
-            yield stack is not None and _components(partner, a, m, stack) is not None
+            folded = None if stack is None else _components(partner, a, rest[0], stack)
+            if len(rest) != 4:
+                frames.append((rest, iter(range(1, len(rest))), folded))
+                break
+            c, d, e, f = rest
+            for x, y, z in ((d, e, f), (e, d, f), (f, d, e)):
+                partner[c - 1] = x
+                partner[x - 1] = c
+                partner[y - 1] = z
+                partner[z - 1] = y
+                yield folded is not None and _components(partner, c, m, folded) is not None
         else:
             frames.pop()
 
@@ -114,6 +110,8 @@ def _run_shards(worker: Callable, shards: list, jobs: int) -> list:
     _at_least(jobs, 1, "jobs")
     workers = min(jobs, len(shards))
     if workers > 1:
+        # Imported here, so that a serial run never loads the pool's modules.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, shards))
     return [worker(s) for s in shards]

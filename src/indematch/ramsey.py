@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import Edge, Matching, is_indecomposable
+from .core import Edge, Matching, _crossers, is_indecomposable
 from .enumeration import _host_shards, _hosts, _run_shards
 from .errors import (
     InvariantViolation,
@@ -81,13 +81,6 @@ class WitnessReport:
         return self.witness is not None
 
 
-def _crossing_count(partner: tuple[int, ...], left: int, right: int) -> int:
-    """Number of edges crossing left-right: each has exactly one endpoint
-    strictly between left and right, so count the inner vertices whose
-    partner lies outside."""
-    return sum(not left < p < right for p in partner[left : right - 1])
-
-
 def witness(matching: Matching, k: int) -> WitnessReport:
     """Search an indecomposable matching for a size-k interleaving, broken
     nesting or proper pin sequence, after one indecomposability pass over it."""
@@ -102,10 +95,10 @@ def _witness(matching: Matching, b: Bounds) -> WitnessReport:
 
     Heavy-edge case first: the first edge (by endpoints) with at least
     crossing_threshold crossers feeds extract_from_crossed_edge.  Crossers
-    are counted straight off the partner table, and the scan stops at that
-    edge.  Otherwise the pin tree capped at depth k is searched up to its
-    first length-k node, a witness.  Failing both, the counting bound must
-    hold, and the first deepest node is the partial witness.
+    are read by core._crossers, and the scan stops at that edge.
+    Otherwise the pin tree capped at depth k is searched up to its first
+    length-k node, a witness.  Failing both, the counting bound must hold,
+    and the first deepest node is the partial witness.
     """
     partner = matching.partner
     # An edge has at most n - 1 crossers, so a small host has no heavy edge.
@@ -114,7 +107,7 @@ def _witness(matching: Matching, b: Bounds) -> WitnessReport:
             # An edge spanning fewer inner vertices than the threshold cannot
             # have enough crossers; this also skips each edge's right endpoint.
             if right - left > b.crossing_threshold and (
-                _crossing_count(partner, left, right) >= b.crossing_threshold
+                sum(map(len, _crossers(partner, left, right))) >= b.crossing_threshold
             ):
                 found = extract_from_crossed_edge(matching, Edge(left, right), b.k)
                 return WitnessReport(b, matching.n, found, None)

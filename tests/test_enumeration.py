@@ -177,7 +177,7 @@ def test_pool_never_exceeds_the_shard_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     assert census(3, jobs=100_000) == census(3)
     assert census(3, jobs=2) == census(3)
     assert sizes == [5, 2]

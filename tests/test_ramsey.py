@@ -8,18 +8,18 @@ from indematch import (
     PatternKind,
     Side,
     WitnessKind,
-    all_matchings,
     bounds,
     build_pin_tree,
     canonical,
     crossers,
+    extract_from_crossed_edge,
     make_matching,
     verify_theorem,
     witness,
 )
 from indematch.errors import NotIndecomposable, SizeCapExceeded, SizeTooSmall
 
-from indematch.ramsey import K_CAP, _crossing_count, _witness
+from indematch.ramsey import K_CAP, _witness
 
 from helpers import indecomposable_matchings, reference_witness, small_indecomposables
 
@@ -53,12 +53,16 @@ def test_bounds_refuse_k_past_the_cap():
         bounds(K_CAP + 1)
 
 
-def test_crossing_count_matches_crossers_on_every_small_matching():
-    for n in range(7):
-        for m in all_matchings(n):
-            for e in m.edges():
-                left, right = crossers(m, e)
-                assert _crossing_count(m.partner, e.left, e.right) == len(left) + len(right)
+def test_witness_extracts_from_the_first_edge_at_the_threshold():
+    # At k = 2 the threshold is 4.  Edge 1-7 passes the span cut but has 3
+    # crossers (2-4 nests inside it); the later 3-8 has exactly 4.
+    m = make_matching([(1, 7), (2, 4), (3, 8), (5, 9), (6, 10)])
+    assert bounds(2).crossing_threshold == 4
+    assert [sum(map(len, crossers(m, e))) for e in ((1, 7), (3, 8))] == [3, 4]
+    found = witness(m, 2).witness
+    assert found == extract_from_crossed_edge(m, Edge(3, 8), 2)
+    assert found != extract_from_crossed_edge(m, Edge(1, 7), 2)
+    assert found.kind is WitnessKind.BROKEN_NESTING and found.breaker == Edge(3, 8)
 
 
 def test_witness_pin_sequence_path():

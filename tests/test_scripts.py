@@ -122,6 +122,18 @@ def test_runtime_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names, (path.name, node.lineno, top)
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # Only a run with more than one worker opens a pool; a serial one never
+    # pays for importing it.
+    code = (
+        "import sys, indematch, indematch.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_no_function_calls_itself_by_name():
     # Searches and streams keep their own stacks, so no call depth grows with
     # the input: a function (or method, through self) never calls itself.
