@@ -152,6 +152,19 @@ def crossers(matching: Matching, e: Edge) -> tuple[tuple[Edge, ...], tuple[Edge,
     return tuple(map(Edge._make, left)), tuple(map(Edge._make, right))
 
 
+def _check_pins(partner: tuple[int, ...], pins: Sequence[tuple[int, int]]) -> None:
+    """InvariantViolation unless the int pairs pins are distinct host edges
+    forming a proper pin sequence: the pin check of Witness.verify and of
+    verify_theorem's shards."""
+    for a, b in pins:
+        if not (0 < a < b <= len(partner) and partner[a - 1] == b):
+            raise InvariantViolation(f"pin {a}-{b} is not an edge of the host")
+    if len(set(pins)) != len(pins):
+        raise InvariantViolation("witness repeats an edge")
+    if _walk_pins(pins) != (True, True):
+        raise InvariantViolation("edges are not a proper pin sequence")
+
+
 @dataclass(frozen=True)
 class Witness:
     """A verified certificate that the host contains one of the target
@@ -163,7 +176,7 @@ class Witness:
     sequences in pin order.  side and breaker are set exactly for broken
     nestings.  Interleavings and broken nestings are checked by ranking
     the endpoints onto [2k]: the ranked edges, in the order given, must
-    equal canonical_edges.  Pin sequences are checked by the pin walk.
+    equal canonical_edges.  Pin sequences are checked by _check_pins.
     edges and breaker are taken as core._host_edges takes them, so a
     Witness holds a tuple of Edges and an Edge breaker.
     """
@@ -203,8 +216,7 @@ class Witness:
         elif self.kind is WitnessKind.INTERLEAVING:
             pattern, order = PatternKind.INTERLEAVING, "left-to-right order"
         else:
-            if _walk_pins(self.edges) != (True, True):
-                raise InvariantViolation("edges are not a proper pin sequence")
+            _check_pins(self.host.partner, self.edges)
             return
         rank = {v: i for i, v in enumerate(sorted(v for e in self.edges for v in e), 1)}
         if tuple((rank[a], rank[b]) for a, b in self.edges) != canonical_edges(pattern, self.size):
@@ -281,11 +293,12 @@ def max_pattern(matching: Matching, kind: PatternKind) -> tuple[int, tuple[Edge,
         PatternKind.RIGHT_BROKEN_NESTING: (0, -1),
         PatternKind.LEFT_BROKEN_NESTING: (1, -1),
     }[kind]
-    best: tuple[int, tuple[Edge, ...]] = (0, ())
+    partner = matching.partner
+    size, head, rest = 0, (), []
     for f in edges:
-        chosen = crossers(matching, f)[side]
-        run = _longest_run([sign * g.right for g in chosen])
+        chosen = _crossers(partner, *f)[side]
+        run = _longest_run([sign * b for _, b in chosen])
         # A lone edge is an interleaving; a broken nesting needs a nest.
-        if (run or sign > 0) and 1 + len(run) > best[0]:
-            best = (1 + len(run), (f,) + tuple(chosen[i] for i in run))
-    return best
+        if (run or sign > 0) and 1 + len(run) > size:
+            size, head, rest = 1 + len(run), (f,), [chosen[i] for i in run]
+    return size, head + tuple(map(Edge._make, rest))

@@ -11,7 +11,6 @@ touches the greatest vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .core import Edge, Matching, _crossers, _host_edges, is_indecomposable
@@ -263,7 +262,8 @@ def _pin_nodes(matching: Matching, depth_cap: int) -> Iterator[tuple[tuple[int, 
         return
     root = ((partner[-1], len(partner)),)
     yield root
-    stack = [(root, (), *root[0], chain(*_crossers(partner, *root[0])))] if depth_cap > 1 else []
+    lefts, rights = _crossers(partner, *root[0])
+    stack = [(root, (), *root[0], iter(lefts + rights))] if depth_cap > 1 else []
     while stack:
         node, rest, a0, b0, todo = stack[-1]
         for e in todo:
@@ -285,7 +285,8 @@ def _pin_nodes(matching: Matching, depth_cap: int) -> Iterator[tuple[tuple[int, 
                 child = (e,) + node
                 yield child
                 if len(child) < depth_cap:
-                    stack.append((child, node, *e, chain(*_crossers(partner, *e))))
+                    lefts, rights = _crossers(partner, *e)
+                    stack.append((child, node, *e, iter(lefts + rights)))
                     break
         else:
             stack.pop()

@@ -7,7 +7,8 @@ the crossers on its heavier side yields an interleaving or broken nesting
 of size k; or no edge is, and then the tree of proper right-reaching pin
 sequences either contains a length-k sequence or is so shallow and thin
 that the matching has fewer than sum((2(k-1)^2 + 1)**i, i < k) edges.
-Every outcome is certified: found witnesses self-verify, and the
+Every outcome is certified: found witnesses self-verify (verify_theorem
+checks found pins with their pin check and builds none), and the
 below-threshold outcome machine-checks the edge count against the bound.
 """
 
@@ -24,7 +25,7 @@ from .errors import (
     NotIndecomposable,
     _at_least,
 )
-from .patterns import Witness, WitnessKind, extract_from_crossed_edge
+from .patterns import Witness, WitnessKind, _check_pins, extract_from_crossed_edge
 from .pins import _pin_nodes
 
 # verify_theorem streams every matching, which stops being desk scale
@@ -90,15 +91,14 @@ def witness(matching: Matching, k: int) -> WitnessReport:
     return _witness(matching, b)
 
 
-def _witness(matching: Matching, b: Bounds) -> WitnessReport:
-    """witness(matching, b.k) on a host trusted to be indecomposable.
+def _search(matching: Matching, b: Bounds) -> tuple[tuple[int, int] | None, tuple]:
+    """The witness search on a trusted indecomposable host, on int pairs:
+    (heavy edge, ()) or (None, the first deepest pin-tree node, unchecked).
 
     Heavy-edge case first: the first edge (by endpoints) with at least
-    crossing_threshold crossers feeds extract_from_crossed_edge.  Crossers
-    are read by core._crossers, and the scan stops at that edge.
-    Otherwise the pin tree capped at depth k is searched up to its first
-    length-k node, a witness.  Failing both, the counting bound must hold,
-    and the first deepest node is the partial witness.
+    crossing_threshold crossers, read by core._crossers.  Otherwise the pin
+    tree capped at depth k is searched up to its first length-k node.
+    Failing both, the counting bound must hold.
     """
     partner = matching.partner
     # An edge has at most n - 1 crossers, so a small host has no heavy edge.
@@ -109,8 +109,7 @@ def _witness(matching: Matching, b: Bounds) -> WitnessReport:
             if right - left > b.crossing_threshold and (
                 sum(map(len, _crossers(partner, left, right))) >= b.crossing_threshold
             ):
-                found = extract_from_crossed_edge(matching, Edge(left, right), b.k)
-                return WitnessReport(b, matching.n, found, None)
+                return (left, right), ()
     # Within a length nodes come breadth first, so the first to reach a
     # length is the breadth-first tree's first node of that length.
     deepest: tuple[tuple[int, int], ...] = ()
@@ -118,16 +117,26 @@ def _witness(matching: Matching, b: Bounds) -> WitnessReport:
         if len(node) > len(deepest):
             deepest = node
             if len(node) == b.k:
-                break
-    pins = tuple(map(Edge._make, deepest))
-    if len(pins) == b.k:
-        found = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, pins)
-        return WitnessReport(b, matching.n, found, None)
+                return None, deepest
     if matching.n >= b.tree_bound:
         raise InvariantViolation(
             f"{matching.n} edges with no witness at k={b.k} contradicts "
             f"the tree bound {b.tree_bound}"
         )
+    return None, deepest
+
+
+def _witness(matching: Matching, b: Bounds) -> WitnessReport:
+    """witness(matching, b.k) on a trusted indecomposable host: _search's
+    outcome as a report, whose Witnesses certify it as they are built."""
+    heavy, deepest = _search(matching, b)
+    if heavy is not None:
+        found = extract_from_crossed_edge(matching, Edge._make(heavy), b.k)
+        return WitnessReport(b, matching.n, found, None)
+    pins = tuple(map(Edge._make, deepest))
+    if len(pins) == b.k:
+        found = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, pins)
+        return WitnessReport(b, matching.n, found, None)
     partial = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, pins) if pins else None
     return WitnessReport(b, matching.n, None, partial)
 
@@ -159,21 +168,29 @@ class TheoremReport:
 
 
 def _verify_shard(args: tuple[int, int, int]) -> tuple[Counter[str], list[str]]:
+    """Tally _search over one shard's hosts.  A heavy edge is certified by
+    extract_from_crossed_edge's Witness, pins by patterns._check_pins with
+    no Witness built; a MatchingError becomes a failures entry."""
     n, first_partner, k = args
     b = bounds(k)
+    found_pins = WitnessKind.PROPER_PIN_SEQUENCE.value
     tally: Counter[str] = Counter()
     failures: list[str] = []
     for matching in _hosts(n, first_partner):
         tally["checked"] += 1
         try:
             # The stream decided indecomposability.
-            report = _witness(matching, b)
+            heavy, pins = _search(matching, b)
+            if heavy is not None:
+                kind = extract_from_crossed_edge(matching, Edge._make(heavy), k).kind.value
+            else:
+                if pins:
+                    _check_pins(matching.partner, pins)
+                kind = found_pins if len(pins) == k else "below_threshold"
         except MatchingError as exc:
             failures.append(f"{matching}: witness raised {exc!r}")
             continue
-        # _witness verified its Witness when building it, and raised on a
-        # below-threshold outcome at or past the tree bound.
-        tally[report.witness.kind.value if report.found else "below_threshold"] += 1
+        tally[kind] += 1
     return tally, failures
 
 

@@ -7,6 +7,7 @@ from indematch import (
     Edge,
     PatternKind,
     Side,
+    Witness,
     WitnessKind,
     bounds,
     build_pin_tree,
@@ -17,7 +18,8 @@ from indematch import (
     verify_theorem,
     witness,
 )
-from indematch.errors import NotIndecomposable, SizeCapExceeded, SizeTooSmall
+from indematch import ramsey
+from indematch.errors import InvariantViolation, NotIndecomposable, SizeCapExceeded, SizeTooSmall
 
 from indematch.ramsey import K_CAP, _witness
 
@@ -197,3 +199,54 @@ def test_verify_theorem_input_validation():
         verify_theorem(9, 2)
     with pytest.raises(SizeTooSmall):
         verify_theorem(4, 1)
+
+
+def test_verify_theorem_builds_a_witness_only_for_a_heavy_edge(monkeypatch):
+    # The shards certify searched pins on int pairs; only the heavy-edge
+    # case, which first fires at k = 2 here, builds (and so verifies) one.
+    built = []
+    post_init = Witness.__post_init__
+
+    def counted(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(Witness, "__post_init__", counted)
+    witness(INT4, 3)
+    assert built == [WitnessKind.PROPER_PIN_SEQUENCE]
+    for k in (3, 4):
+        built.clear()
+        report = verify_theorem(6, k)
+        assert report.ok and report.checked == 3111
+        assert report.found_pin_sequence > 0 and report.below_threshold > 0
+        assert built == [], k
+    built.clear()
+    report = verify_theorem(6, 2)
+    heavy = report.found_interleaving + report.found_broken_nesting
+    assert heavy > 0 and len(built) == heavy
+    assert WitnessKind.PROPER_PIN_SEQUENCE not in built
+
+
+@pytest.mark.parametrize(
+    "pins, message",
+    [
+        # 3-8 is not an edge of INT4.
+        (((1, 5), (2, 6), (3, 8)), "pin 3-8 is not an edge of the host"),
+        # Host edges forming a pin sequence, but 3-7 splits the shadow 1-5
+        # of the pins two steps back.
+        (((1, 5), (2, 6), (3, 7)), "edges are not a proper pin sequence"),
+    ],
+)
+def test_verify_theorem_reports_searched_pins_that_fail_the_pin_check(monkeypatch, pins, message):
+    # The shard reports these pins on INT4, with no exception and no tally,
+    # in the words Witness.verify uses for them.
+    monkeypatch.setattr(ramsey, "_hosts", lambda n, first_partner: iter([INT4]))
+    monkeypatch.setattr(ramsey, "_pin_nodes", lambda m, k: iter([pins]))
+    report = verify_theorem(1, 3)
+    assert report.checked == 1
+    assert report.found == report.below_threshold == 0
+    assert report.failures == (f"{INT4}: witness raised {InvariantViolation(message)!r}",)
+    fake = Witness(WitnessKind.PROPER_PIN_SEQUENCE, INT4, (Edge(1, 5), Edge(4, 8)))
+    object.__setattr__(fake, "edges", tuple(map(Edge._make, pins)))
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        fake.verify()

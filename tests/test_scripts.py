@@ -299,14 +299,23 @@ def test_traced_verify_sweeps_each_host_once():
     assert tracer.calls["pins.build_pin_tree"] == 0
 
 
-def test_traced_pattern_stage_reads_each_edge_once():
+def test_traced_pattern_stage_reads_each_edge_once(monkeypatch):
     # In the avoider scan, max_pattern reads the crossers of each edge of
-    # the host once (n <= 5 here) and runs no longest_monotone.
+    # the host once (n <= 5 here), as int pairs through core._crossers
+    # rather than the public crossers, and runs no longest_monotone.
     enumeration = importlib.import_module("indematch.enumeration")
+    patterns = importlib.import_module("indematch.patterns")
+    reads = []
+    read = patterns._crossers
+
+    def counted(partner, left, right):
+        reads.append((left, right))
+        return read(partner, left, right)
+
+    monkeypatch.setattr(patterns, "_crossers", counted)
     tracer, _ = _traced(lambda: enumeration.scan_avoiders(5, 4))
     pattern_calls = tracer.calls["patterns.max_pattern"]
-    under_pattern = tracer.edges["patterns.max_pattern", "patterns.crossers"]
     assert pattern_calls > 0
-    assert under_pattern == tracer.calls["patterns.crossers"]
-    assert under_pattern <= 5 * pattern_calls
+    assert tracer.calls["patterns.crossers"] == 0
+    assert 0 < len(reads) <= 5 * pattern_calls
     assert tracer.edges["patterns.max_pattern", "patterns.longest_monotone"] == 0
