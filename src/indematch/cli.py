@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Iterable
@@ -557,7 +558,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed, as by `| head`: end quietly, and let the flush
+        # at exit write to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (MatchingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -87,10 +87,11 @@ def _tables(
             frames.pop()
 
 
-def _hosts(n: int, first_partner: int) -> Iterator[Matching]:
-    """The shard's tables the stream decided are indecomposable, in order."""
+def _hosts(n: int, first_partner: int) -> Iterator[tuple[int, ...]]:
+    """The shard's tables the stream decided are indecomposable, in order,
+    as partner tuples: the shards wrap one in a Matching only to report it."""
     partner = [0] * (2 * n)
-    return (Matching(tuple(partner)) for indec in _tables(partner, first_partner) if indec)
+    return (tuple(partner) for indec in _tables(partner, first_partner) if indec)
 
 
 def _host_shards(n_max: int, k: int) -> list[tuple[int, int, int]]:
@@ -189,26 +190,26 @@ def census(n: int, *, jobs: int = 1, allow_large: bool = False) -> CensusRow:
     return CensusRow(n, total, indec, recurrence_counts(n)[n])
 
 
-def _is_avoider(matching: Matching, k: int) -> bool:
-    """No size-k interleaving or broken nesting, and no proper
-    right-reaching pin sequence with k pins (the depth-capped tree decides
-    the latter).  Proper pin sequences that fail to reach the last vertex
-    are NOT excluded.  At k = 2 that cannot matter (a 2-pin sequence is a
-    crossing, which the interleaving check already rules out), and at k = 3
-    no difference appears for any host with n <= 6; from k = 4 on the two
-    readings genuinely disagree.
+def _avoider(partner: tuple[int, ...], k: int) -> Matching | None:
+    """The host as a Matching if it has no size-k interleaving or broken
+    nesting and no proper right-reaching pin sequence with k pins (the
+    depth-capped tree decides the latter), else None.  Proper pin sequences
+    that fail to reach the last vertex are NOT excluded.  At k = 2 that
+    cannot matter (a 2-pin sequence is a crossing, which the interleaving
+    check already rules out), and at k = 3 no difference appears for any
+    host with n <= 6; from k = 4 on the two readings genuinely disagree.
     """
-    # Cheapest check, ruling out most hosts: the pin tree to its first length-k node.
-    if any(len(node) == k for node in _pin_nodes(matching, k)):
-        return False
-    return all(
-        max_pattern(matching, kind)[0] < k
-        for kind in (
-            PatternKind.INTERLEAVING,
-            PatternKind.RIGHT_BROKEN_NESTING,
-            PatternKind.LEFT_BROKEN_NESTING,
-        )
+    # Cheapest check, ruling out most hosts: the pin tree to its first
+    # length-k node, on the partner table.
+    if any(len(node) == k for node in _pin_nodes(partner, k)):
+        return None
+    matching = Matching(partner)
+    kinds = (
+        PatternKind.INTERLEAVING,
+        PatternKind.RIGHT_BROKEN_NESTING,
+        PatternKind.LEFT_BROKEN_NESTING,
     )
+    return matching if all(max_pattern(matching, kind)[0] < k for kind in kinds) else None
 
 
 @dataclass(frozen=True)
@@ -225,11 +226,14 @@ class AvoiderReport:
 
 
 def _scan_shard(args: tuple[int, int, int]) -> tuple[int, Matching | None]:
+    """Count the avoiders among one shard's partner tables, with the first
+    of them as the Matching _avoider built for its pattern stage."""
     n, first_partner, k = args
     count = 0
     example = None
-    for matching in _hosts(n, first_partner):
-        if _is_avoider(matching, k):
+    for partner in _hosts(n, first_partner):
+        matching = _avoider(partner, k)
+        if matching is not None:
             count += 1
             if example is None:
                 example = matching

@@ -235,58 +235,54 @@ class PinTree:
         return max((len(node) for node in self.nodes), default=0)
 
 
-def _pin_nodes(matching: Matching, depth_cap: int) -> Iterator[tuple[tuple[int, int], ...]]:
+def _pin_nodes(partner: tuple[int, ...], depth_cap: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """Each node of the pin tree capped at depth_cap, as int pairs, lazily
-    and depth first, on a trusted host.
+    and depth first, on a trusted partner table.
 
     Children of a node are the sequences extending it by one prepended edge;
     a suffix of a proper right-reaching sequence is again one, so every such
-    sequence of length <= depth_cap appears.  The node's first pin must
-    split the shadow of the prepended edge, so the two cross: candidates are
-    the first pin's crossers, read when the node is expanded, in (left,
-    right) order.  The rest of the walk decides each on int bounds, carrying
-    the shadows (prev, cur): every later pin must split cur and not split
-    prev, as in _walk_pins, inlined.  A candidate already in the node lies
-    inside the shadow by the time the walk meets it and fails the split
-    test, so pins stay distinct.
+    sequence of length <= depth_cap appears.  Distinct edges p1..pm form a
+    proper pin sequence exactly when each p(j+1) crosses p(j) and has no
+    endpoint in the spans of p1..p(j-1): in _walk_pins, an endpoint in prev
+    would put both in cur.  So the node p1..pm, p1 = a-b, has the child x-y
+    exactly when x-y crosses a-b and its closed span holds no endpoint of
+    p2..pm.  Candidates are the crossers of a-b, read when the node is
+    expanded, in (left, right) order.  Each is decided in O(1) on the
+    node's state: q, the one endpoint of p2..pm inside (a, b); lf, their
+    greatest endpoint below a (or 0); rf, their least above b (or 2n + 1).
+    x-y is a child exactly when lf < x, y < rf and q lies outside [x, y];
+    a left child (y < q) has the state (a, lf, q), a right one (b, q, rf).
+    The root, touching 2n, has only left crossers, which q = 2n passes.  An
+    edge already in the node fails the test, having an endpoint at q, at
+    most lf or at least rf, so pins stay distinct.
 
     Within each length the nodes come in breadth-first order.  Breadth
     first, each level lists the children of the level above in order, so by
     induction it is sorted by the nodes' candidate sequences from the root,
     compared lexicographically; depth-first pre-order visits the nodes in
     that same order.  The stack holds at most depth_cap - 1 frames: a node,
-    its parent (the rest of the walk), its first pin and the crossers left.
+    its first pin, its state and the crossers left.
     """
-    partner = matching.partner
     if not partner:
         return
-    root = ((partner[-1], len(partner)),)
+    a, top = partner[-1], len(partner)
+    root = ((a, top),)
     yield root
-    lefts, rights = _crossers(partner, *root[0])
-    stack = [(root, (), *root[0], iter(lefts + rights))] if depth_cap > 1 else []
+    lefts, _ = _crossers(partner, a, top)
+    stack = [(root, a, top, top, 0, top + 1, iter(lefts))] if depth_cap > 1 else []
     while stack:
-        node, rest, a0, b0, todo = stack[-1]
+        node, a, b, q, lf, rf, todo = stack[-1]
         for e in todo:
-            # e crosses the first pin a0-b0, so the walk starts past it.
-            plo, phi = e
-            lo = plo if plo < a0 else a0
-            hi = phi if phi > b0 else b0
-            for a, b in rest:
-                if (lo <= a <= hi) == (lo <= b <= hi) or (
-                    (plo <= a <= phi) != (plo <= b <= phi)
-                ):
-                    break
-                plo, phi = lo, hi
-                if a < lo:
-                    lo = a
-                if b > hi:
-                    hi = b
-            else:
+            x, y = e
+            if lf < x and y < rf and (y < q or q < x):
                 child = (e,) + node
                 yield child
                 if len(child) < depth_cap:
-                    lefts, rights = _crossers(partner, *e)
-                    stack.append((child, node, *e, iter(lefts + rights)))
+                    lefts, rights = _crossers(partner, x, y)
+                    if y < q:
+                        stack.append((child, x, y, a, lf, q, iter(lefts + rights)))
+                    else:
+                        stack.append((child, x, y, b, q, rf, iter(lefts + rights)))
                     break
         else:
             stack.pop()
@@ -300,7 +296,7 @@ def build_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
     if not is_indecomposable(matching):
         raise NotIndecomposable()
     levels: list[list[tuple]] = [[] for _ in range(min(depth_cap, matching.n))]
-    for node in _pin_nodes(matching, depth_cap):
+    for node in _pin_nodes(matching.partner, depth_cap):
         levels[len(node) - 1].append(node)
     nodes = tuple(tuple(map(Edge._make, node)) for level in levels for node in level)
     index = {node: i for i, node in enumerate(nodes)}

@@ -91,18 +91,19 @@ def witness(matching: Matching, k: int) -> WitnessReport:
     return _witness(matching, b)
 
 
-def _search(matching: Matching, b: Bounds) -> tuple[tuple[int, int] | None, tuple]:
-    """The witness search on a trusted indecomposable host, on int pairs:
-    (heavy edge, ()) or (None, the first deepest pin-tree node, unchecked).
+def _search(partner: tuple[int, ...], b: Bounds) -> tuple[tuple[int, int] | None, tuple]:
+    """The witness search on a trusted indecomposable host's partner table,
+    on int pairs: (heavy edge, ()) or (None, the first deepest pin-tree
+    node, unchecked).
 
     Heavy-edge case first: the first edge (by endpoints) with at least
     crossing_threshold crossers, read by core._crossers.  Otherwise the pin
     tree capped at depth k is searched up to its first length-k node.
     Failing both, the counting bound must hold.
     """
-    partner = matching.partner
+    n = len(partner) // 2
     # An edge has at most n - 1 crossers, so a small host has no heavy edge.
-    if matching.n > b.crossing_threshold:
+    if n > b.crossing_threshold:
         for left, right in enumerate(partner, start=1):
             # An edge spanning fewer inner vertices than the threshold cannot
             # have enough crossers; this also skips each edge's right endpoint.
@@ -113,14 +114,14 @@ def _search(matching: Matching, b: Bounds) -> tuple[tuple[int, int] | None, tupl
     # Within a length nodes come breadth first, so the first to reach a
     # length is the breadth-first tree's first node of that length.
     deepest: tuple[tuple[int, int], ...] = ()
-    for node in _pin_nodes(matching, b.k):
+    for node in _pin_nodes(partner, b.k):
         if len(node) > len(deepest):
             deepest = node
             if len(node) == b.k:
                 return None, deepest
-    if matching.n >= b.tree_bound:
+    if n >= b.tree_bound:
         raise InvariantViolation(
-            f"{matching.n} edges with no witness at k={b.k} contradicts "
+            f"{n} edges with no witness at k={b.k} contradicts "
             f"the tree bound {b.tree_bound}"
         )
     return None, deepest
@@ -129,7 +130,7 @@ def _search(matching: Matching, b: Bounds) -> tuple[tuple[int, int] | None, tupl
 def _witness(matching: Matching, b: Bounds) -> WitnessReport:
     """witness(matching, b.k) on a trusted indecomposable host: _search's
     outcome as a report, whose Witnesses certify it as they are built."""
-    heavy, deepest = _search(matching, b)
+    heavy, deepest = _search(matching.partner, b)
     if heavy is not None:
         found = extract_from_crossed_edge(matching, Edge._make(heavy), b.k)
         return WitnessReport(b, matching.n, found, None)
@@ -168,27 +169,28 @@ class TheoremReport:
 
 
 def _verify_shard(args: tuple[int, int, int]) -> tuple[Counter[str], list[str]]:
-    """Tally _search over one shard's hosts.  A heavy edge is certified by
-    extract_from_crossed_edge's Witness, pins by patterns._check_pins with
-    no Witness built; a MatchingError becomes a failures entry."""
+    """Tally _search over one shard's partner tables.  A heavy edge is
+    certified by extract_from_crossed_edge's Witness on the host's Matching,
+    pins by patterns._check_pins with no Witness or Matching built; a
+    MatchingError becomes a failures entry naming the host."""
     n, first_partner, k = args
     b = bounds(k)
     found_pins = WitnessKind.PROPER_PIN_SEQUENCE.value
     tally: Counter[str] = Counter()
     failures: list[str] = []
-    for matching in _hosts(n, first_partner):
+    for partner in _hosts(n, first_partner):
         tally["checked"] += 1
         try:
             # The stream decided indecomposability.
-            heavy, pins = _search(matching, b)
+            heavy, pins = _search(partner, b)
             if heavy is not None:
-                kind = extract_from_crossed_edge(matching, Edge._make(heavy), k).kind.value
+                kind = extract_from_crossed_edge(Matching(partner), Edge._make(heavy), k).kind.value
             else:
                 if pins:
-                    _check_pins(matching.partner, pins)
+                    _check_pins(partner, pins)
                 kind = found_pins if len(pins) == k else "below_threshold"
         except MatchingError as exc:
-            failures.append(f"{matching}: witness raised {exc!r}")
+            failures.append(f"{Matching(partner)}: witness raised {exc!r}")
             continue
         tally[kind] += 1
     return tally, failures

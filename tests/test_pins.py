@@ -25,7 +25,7 @@ from indematch.errors import (
     NotRightReaching,
     UnknownEdge,
 )
-from indematch.pins import _pin_nodes
+from indematch.pins import _pin_nodes, _walk_pins
 
 from helpers import (
     EmptySegment,
@@ -384,8 +384,37 @@ def test_pin_tree_and_grow_match_the_reference_on_every_small_host():
 def test_early_stopped_pin_nodes_decide_depth_k_like_the_full_tree():
     for m in small_indecomposables(6):
         for k in (2, 3, 4, 5):
-            early = any(len(node) == k for node in _pin_nodes(m, k))
+            early = any(len(node) == k for node in _pin_nodes(m.partner, k))
             assert early == (build_pin_tree(m, k).max_length >= k), (m, k)
+
+
+def pairwise_proper(pins):
+    """The pairwise form of a proper pin sequence: each pin crosses the one
+    before it and has no endpoint in the span of any pin before that."""
+    for j in range(1, len(pins)):
+        (a, b), (x, y) = pins[j - 1], pins[j]
+        if not (a < x < b < y or x < a < y < b):
+            return False
+        if any(lo <= v <= hi for lo, hi in pins[: j - 1] for v in (x, y)):
+            return False
+    return True
+
+
+def test_proper_pin_sequences_are_the_pairwise_condition():
+    # The lemma behind _pin_nodes' O(1) child test, on every sequence of at
+    # most four distinct edges of every matching with n <= 5.
+    checked = proper = 0
+    for n in range(1, 6):
+        for m in all_matchings(n):
+            edges = [tuple(e) for e in m.edges()]
+            for length in range(1, 5):
+                for seq in permutations(edges, length):
+                    walked = _walk_pins(seq) == (True, True)
+                    assert walked == pairwise_proper(seq), (m, seq)
+                    checked += 1
+                    proper += walked
+    assert checked == 1 + 3 * 4 + 15 * 15 + 105 * 64 + 945 * 205
+    assert 0 < proper < checked
 
 
 def levels(nodes):
@@ -410,8 +439,8 @@ def first_and_deepest(nodes, k):
 
 
 def assert_search_matches_the_reference(m, k):
-    assert levels(_pin_nodes(m, k)) == levels(reference_pin_nodes(m, k)), (m, k)
-    got = first_and_deepest(_pin_nodes(m, k), k)
+    assert levels(_pin_nodes(m.partner, k)) == levels(reference_pin_nodes(m, k)), (m, k)
+    got = first_and_deepest(_pin_nodes(m.partner, k), k)
     assert got == first_and_deepest(reference_pin_nodes(m, k), k), (m, k)
     return got
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from indematch import (
     Edge,
+    Matching,
     PatternKind,
     Side,
     Witness,
@@ -15,6 +16,7 @@ from indematch import (
     crossers,
     extract_from_crossed_edge,
     make_matching,
+    scan_avoiders,
     verify_theorem,
     witness,
 )
@@ -227,6 +229,33 @@ def test_verify_theorem_builds_a_witness_only_for_a_heavy_edge(monkeypatch):
     assert WitnessKind.PROPER_PIN_SEQUENCE not in built
 
 
+def test_exhaustive_shards_build_a_matching_only_to_report_a_host(monkeypatch):
+    # The shards run on partner tuples.  A Matching is built for a heavy
+    # edge's Witness (first at k = 2 here), and in the scan for the pattern
+    # stage of the 154 hosts past the pin-tree pre-check at k = 3.
+    built = []
+    init = Matching.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matching, "__init__", counted)
+    for k in (3, 4):
+        built.clear()
+        report = verify_theorem(6, k)
+        assert report.ok and report.checked == 3111
+        assert built == [], k
+    built.clear()
+    report = verify_theorem(6, 2)
+    heavy = report.found_interleaving + report.found_broken_nesting
+    assert report.ok and heavy > 0 and len(built) == heavy
+    built.clear()
+    scan = scan_avoiders(6, 3)
+    assert scan.counts[1] == scan.counts[2] == 1
+    assert 0 < len(built) <= 154
+
+
 @pytest.mark.parametrize(
     "pins, message",
     [
@@ -240,7 +269,7 @@ def test_verify_theorem_builds_a_witness_only_for_a_heavy_edge(monkeypatch):
 def test_verify_theorem_reports_searched_pins_that_fail_the_pin_check(monkeypatch, pins, message):
     # The shard reports these pins on INT4, with no exception and no tally,
     # in the words Witness.verify uses for them.
-    monkeypatch.setattr(ramsey, "_hosts", lambda n, first_partner: iter([INT4]))
+    monkeypatch.setattr(ramsey, "_hosts", lambda n, first_partner: iter([INT4.partner]))
     monkeypatch.setattr(ramsey, "_pin_nodes", lambda m, k: iter([pins]))
     report = verify_theorem(1, 3)
     assert report.checked == 1

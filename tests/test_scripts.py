@@ -18,16 +18,20 @@ from helpers import small_indecomposables
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_python(*args):
+def python_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_python(*args):
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=python_env(),
         timeout=60,
     )
 
@@ -69,6 +73,18 @@ def test_python_dash_m_runs_the_cli():
     done = run_python("-m", "indematch", "census", "-n", "3")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == " 3            15               4             4  yes"
+
+
+def test_a_closed_stdout_ends_the_cli_quietly():
+    # As `indematch canonical interleaving -k 200000 | head -c 10` does.
+    args = [sys.executable, "-m", "indematch", "canonical", "interleaving", "-k", "200000"]
+    with subprocess.Popen(
+        args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=python_env()
+    ) as proc:
+        assert proc.stdout.read(10) == b"1-200001 2"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_pattern_gallery_writes_svgs(tmp_path):
