@@ -57,6 +57,8 @@ def parse_matching(text: str) -> Matching:
     problems (bad vertex sets) surface as make_matching errors rather than
     ParseError.
     """
+    if not isinstance(text, str):
+        raise MatchingError(f"{_show(text, repr)} is not a string")
     if not text.strip():
         return Matching(())
     if "-" in text:

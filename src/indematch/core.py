@@ -68,12 +68,13 @@ def as_edge(pair: Iterable[int]) -> Edge:
 
 @dataclass(frozen=True)
 class Segment:
-    """The contiguous vertex range [lo, hi]; both bounds inclusive."""
+    """The contiguous vertex range [lo, hi], 1 <= lo <= hi; both bounds inclusive."""
 
     lo: int
     hi: int
 
     def __post_init__(self) -> None:
+        _at_least(self.lo, 1, "segment lower bound")
         _at_least(self.hi, self.lo, "segment upper bound")
 
     def __contains__(self, vertex: int) -> bool:
@@ -134,6 +135,14 @@ def _partner_table(matching: Matching) -> tuple[int, ...]:
     return matching.partner
 
 
+def _pair_sequence(pairs: Iterable[Iterable[int]]) -> tuple:
+    """pairs, read once, as a tuple, or a MatchingError if they are not iterable."""
+    try:
+        return tuple(pairs)
+    except TypeError:
+        raise MatchingError(f"{_show(pairs, repr)} is not a sequence of edges") from None
+
+
 def _host_edges(matching: Matching, pairs: Iterable[Iterable[int]]) -> tuple[Edge, ...]:
     """The one reading of an edge argument: pairs, read once, as a tuple of
     Edges of the matching.  Edges with int fields that the partner table
@@ -141,10 +150,7 @@ def _host_edges(matching: Matching, pairs: Iterable[Iterable[int]]) -> tuple[Edg
     normalized by as_edge, and then the first that is not an edge of the
     matching is an UnknownEdge."""
     partner = _partner_table(matching)
-    try:
-        pairs = tuple(pairs)
-    except TypeError:
-        raise MatchingError(f"{_show(pairs, repr)} is not a sequence of edges") from None
+    pairs = _pair_sequence(pairs)
     top = len(partner)
     for e in pairs:
         if type(e) is not Edge:
@@ -185,7 +191,7 @@ def make_matching(pairs: Iterable[Iterable[int]]) -> Matching:
     checked in that order, to name its first defect.
     """
     if type(pairs) not in (list, tuple):  # the fill and the checks both read them
-        pairs = list(pairs)
+        pairs = _pair_sequence(pairs)
     size = 2 * len(pairs)
     slots = [0] * (size + 1)  # slots[v] for vertex v; slot 0 takes no vertex
     try:

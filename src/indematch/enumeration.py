@@ -4,9 +4,9 @@ avoider scans.
 Matchings on [2n] are streamed in a canonical order: vertex 1 pairs with
 each possible partner in increasing order, then the rest of the vertex set
 is matched the same way, from an explicit stack of frames.  That order
-equals lexicographic order of the partner tables, and fixing the partner
-of vertex 1 splits the stream into 2n - 1 independent shards for parallel
-scans.
+equals lexicographic order of the partner tables.  Fixing the partner of
+vertex 1 splits the stream into 2n - 1 independent shards; each stream
+runs one shard, so shards can run in parallel.
 
 The stream decides indecomposability as it completes each table, by the
 crossing-component pass in core's module docstring.  All vertices below
@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 from .core import Matching, _components
 from .errors import _at_least
 from .patterns import PatternKind, max_pattern
-from .pins import _pin_nodes
+from .pins import _deepest
 
 # (2n - 1)!! matchings on [2n]: n = 9 means ~34M, minutes of streaming.
 # Beyond that the caller must opt in.
@@ -39,13 +39,11 @@ RECURRENCE_CAP = 500
 _NO_LIFT = "; the recurrence has no override"
 
 
-def _tables(
-    partner: list[int], first_partner: int | None = None, *, decide: bool = True
-) -> Iterator[bool]:
-    """Fill partner, a buffer of 2n slots, with each table on [2n] in
-    canonical order (with first_partner, each table of the shard pairing
-    vertex 1 with it), and yield whether that table is indecomposable.
-    Every table is yielded; without decide every flag is False.
+def _tables(partner: list[int], first_partner: int, *, decide: bool = True) -> Iterator[bool]:
+    """Fill partner, a buffer of 2n >= 2 slots, with each table of the shard
+    pairing vertex 1 with first_partner, in canonical order, and yield
+    whether that table is indecomposable.  Every table is yielded; without
+    decide every flag is False.
 
     A frame pairs free[0] with free[i] for each i in its choices in turn.
     Its stack holds the open components of the vertices below free[0]; it
@@ -56,11 +54,7 @@ def _tables(
     with more or fewer it pushes a frame.
     """
     m = len(partner)
-    if not m:
-        yield decide
-        return
-    choices = range(1, m) if first_partner is None else (first_partner - 1,)
-    frames = [(tuple(range(1, m + 1)), iter(choices), () if decide else None)]
+    frames = [(tuple(range(1, m + 1)), iter((first_partner - 1,)), () if decide else None)]
     while frames:
         free, choices, stack = frames[-1]
         a = free[0]
@@ -125,14 +119,18 @@ def _warn_large(n: int) -> None:
 
 
 def all_matchings(n: int, *, allow_large: bool = False) -> Iterator[Matching]:
-    """Every matching on [2n] exactly once, in canonical order.
+    """Every matching on [2n] exactly once, in canonical order: the shards
+    in turn, or the one empty matching at n = 0.
 
     The cap is checked eagerly, before the first item is drawn.
     """
     _at_least(n, 0, "n", None if allow_large else SOFT_CAP, _LIFT)
     _warn_large(n)
+    if not n:
+        return iter((Matching(()),))
     partner = [0] * (2 * n)
-    return (Matching(tuple(partner)) for _ in _tables(partner, decide=False))
+    shards = (_tables(partner, fp, decide=False) for fp in range(2, 2 * n + 1))
+    return (Matching(tuple(partner)) for shard in shards for _ in shard)
 
 
 def recurrence_counts(n_max: int) -> tuple[int, ...]:
@@ -201,7 +199,7 @@ def _avoider(partner: tuple[int, ...], k: int) -> Matching | None:
     """
     # Cheapest check, ruling out most hosts: the pin tree to its first
     # length-k node, on the partner table.
-    if any(len(node) == k for node in _pin_nodes(partner, k)):
+    if len(_deepest(partner, k)) == k:
         return None
     matching = Matching(partner)
     kinds = (

@@ -265,7 +265,7 @@ def extract_from_crossed_edge(matching: Matching, e: Edge, k: int) -> Witness:
     raise InsufficientCrossers(
         f"{len(chosen)} crossers on the heavier side of {e}: "
         f"longest runs {len(incr)} increasing / {len(decr)} decreasing "
-        f"cannot reach size {k}"
+        f"cannot reach size {_show(k)}"
     )
 
 

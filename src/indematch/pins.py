@@ -288,6 +288,20 @@ def _pin_nodes(partner: tuple[int, ...], depth_cap: int) -> Iterator[tuple[tuple
             stack.pop()
 
 
+def _deepest(partner: tuple[int, ...], cap: int) -> tuple[tuple[int, int], ...]:
+    """The pin tree's one capped decision, on a trusted partner table: the
+    breadth-first tree's first node of length cap, else its first deepest
+    node, as int pairs.  _pin_nodes lists each length breadth first, so
+    the first node to reach a length is the first of that length."""
+    deepest: tuple[tuple[int, int], ...] = ()
+    for node in _pin_nodes(partner, cap):
+        if len(node) > len(deepest):
+            deepest = node
+            if len(node) == cap:
+                break
+    return deepest
+
+
 def build_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
     """The tree of proper right-reaching pin sequences of length at most
     depth_cap: every node of _pin_nodes, once the cap and host are checked,

@@ -26,7 +26,7 @@ from .errors import (
     _at_least,
 )
 from .patterns import Witness, WitnessKind, _check_pins, extract_from_crossed_edge
-from .pins import _pin_nodes
+from .pins import _deepest
 
 # verify_theorem streams every matching, which stops being desk scale
 # shortly after this.
@@ -88,18 +88,26 @@ def witness(matching: Matching, k: int) -> WitnessReport:
     b = bounds(k)
     if not is_indecomposable(matching):
         raise NotIndecomposable()
-    return _witness(matching, b)
+    heavy, deepest = _search(matching.partner, b)
+    if heavy is not None:
+        found = extract_from_crossed_edge(matching, Edge._make(heavy), k)
+        return WitnessReport(b, matching.n, found, None)
+    pins = tuple(map(Edge._make, deepest))
+    pinned = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, pins) if pins else None
+    if len(pins) == k:
+        return WitnessReport(b, matching.n, pinned, None)
+    return WitnessReport(b, matching.n, None, pinned)
 
 
 def _search(partner: tuple[int, ...], b: Bounds) -> tuple[tuple[int, int] | None, tuple]:
     """The witness search on a trusted indecomposable host's partner table,
-    on int pairs: (heavy edge, ()) or (None, the first deepest pin-tree
-    node, unchecked).
+    on int pairs: (heavy edge, ()) or (None, pins._deepest's node at cap k,
+    unchecked).
 
     Heavy-edge case first: the first edge (by endpoints) with at least
     crossing_threshold crossers, read by core._crossers.  Otherwise the pin
-    tree capped at depth k is searched up to its first length-k node.
-    Failing both, the counting bound must hold.
+    tree capped at depth k decides.  Failing both, the counting bound must
+    hold.
     """
     n = len(partner) // 2
     # An edge has at most n - 1 crossers, so a small host has no heavy edge.
@@ -111,35 +119,13 @@ def _search(partner: tuple[int, ...], b: Bounds) -> tuple[tuple[int, int] | None
                 sum(map(len, _crossers(partner, left, right))) >= b.crossing_threshold
             ):
                 return (left, right), ()
-    # Within a length nodes come breadth first, so the first to reach a
-    # length is the breadth-first tree's first node of that length.
-    deepest: tuple[tuple[int, int], ...] = ()
-    for node in _pin_nodes(partner, b.k):
-        if len(node) > len(deepest):
-            deepest = node
-            if len(node) == b.k:
-                return None, deepest
-    if n >= b.tree_bound:
+    deepest = _deepest(partner, b.k)
+    if len(deepest) < b.k and n >= b.tree_bound:
         raise InvariantViolation(
             f"{n} edges with no witness at k={b.k} contradicts "
             f"the tree bound {b.tree_bound}"
         )
     return None, deepest
-
-
-def _witness(matching: Matching, b: Bounds) -> WitnessReport:
-    """witness(matching, b.k) on a trusted indecomposable host: _search's
-    outcome as a report, whose Witnesses certify it as they are built."""
-    heavy, deepest = _search(matching.partner, b)
-    if heavy is not None:
-        found = extract_from_crossed_edge(matching, Edge._make(heavy), b.k)
-        return WitnessReport(b, matching.n, found, None)
-    pins = tuple(map(Edge._make, deepest))
-    if len(pins) == b.k:
-        found = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, pins)
-        return WitnessReport(b, matching.n, found, None)
-    partial = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, pins) if pins else None
-    return WitnessReport(b, matching.n, None, partial)
 
 
 @dataclass(frozen=True)

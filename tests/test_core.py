@@ -70,6 +70,12 @@ def test_segment():
         Segment(5, 4)
     with pytest.raises(MatchingError, match="segment upper bound 4 is below the minimum 5"):
         Segment(5, 4)
+    # Vertices are 1-based: the lower bound is an int of at least 1, read first.
+    for lo in (None, 1.5, True, "1"):
+        with pytest.raises(MatchingError, match="^segment lower bound .* is not an integer$"):
+            Segment(lo, 3)
+    with pytest.raises(MatchingError, match="^segment lower bound 0 is below the minimum 1$"):
+        Segment(0, 3)
 
 
 def test_make_matching_basic():

@@ -66,13 +66,10 @@ def test_every_shard_streams_the_reference_tables_in_order():
     # Position by position: every table is the reference's, and the flagged
     # ones are exactly the reference's indecomposables.
     for n in range(1, 8):
-        for fp in [None, *range(2, 2 * n + 1)]:
+        for fp in range(2, 2 * n + 1):
             partner = [0] * (2 * n)
             got = [(tuple(partner), flag) for flag in enumeration._tables(partner, fp)]
-            if fp is None:
-                ref = list(reference_partner_tuples(n))
-            else:
-                ref = list(reference_partner_tuples_shard(n, fp))
+            ref = list(reference_partner_tuples_shard(n, fp))
             assert len(got) == len(ref), (n, fp)
             assert [t for t, flag in got if flag] == [
                 t for t in ref if reference_is_indecomposable_partner(t)
@@ -91,7 +88,7 @@ def test_the_stream_reaches_its_first_table_at_n_2000():
     assert sorted(partner) == list(range(1, 4001))
 
 
-def _streamed(n, first_partner=None, decide=True):
+def _streamed(n, first_partner, decide=True):
     partner = [0] * (2 * n)
     stream = enumeration._tables(partner, first_partner, decide=decide)
     return [(tuple(partner), flag) for flag in stream]
@@ -99,11 +96,8 @@ def _streamed(n, first_partner=None, decide=True):
 
 def test_without_decide_every_flag_is_false_and_every_table_the_reference():
     for n in range(1, 8):
-        for fp in [None, *range(2, 2 * n + 1)]:
-            if fp is None:
-                ref = reference_partner_tuples(n)
-            else:
-                ref = reference_partner_tuples_shard(n, fp)
+        for fp in range(2, 2 * n + 1):
+            ref = reference_partner_tuples_shard(n, fp)
             assert _streamed(n, fp, decide=False) == [(t, False) for t in ref], (n, fp)
 
 
@@ -120,18 +114,9 @@ def test_the_smallest_streams_complete_from_the_root_frame():
         ((6, 4, 5, 2, 3, 1), False),
         ((6, 5, 4, 3, 2, 1), False),
     ]
-    assert [t for t, flag in _streamed(3) if flag] == [
-        (3, 5, 1, 6, 2, 4),
-        (4, 5, 6, 1, 2, 3),
-        (4, 6, 5, 1, 3, 2),
-        (5, 4, 6, 2, 1, 3),
-    ]
     # n = 2: the root's pairing leaves two, paired inline.
-    assert _streamed(2) == [((2, 1, 4, 3), False), ((3, 4, 1, 2), True), ((4, 3, 2, 1), False)]
     assert _streamed(2, 3) == [((3, 4, 1, 2), True)]
-    assert _streamed(1) == _streamed(1, 2) == [((2, 1), True)]
-    assert _streamed(0) == [((), True)]
-    assert _streamed(0, decide=False) == [((), False)]
+    assert _streamed(1, 2) == [((2, 1), True)]
 
 
 def test_all_matchings_is_the_reference_stream():

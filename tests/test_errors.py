@@ -32,7 +32,7 @@ from indematch import (
     verify_theorem,
     witness,
 )
-from indematch.cli import format_matching, render_svg
+from indematch.cli import format_matching, parse_matching, render_svg
 from indematch.core import Edge, as_edge, make_matching
 from indematch.enumeration import RECURRENCE_CAP, SOFT_CAP
 from indematch.patterns import PATTERN_CAP
@@ -99,6 +99,9 @@ def test_messages_name_integers_past_the_digit_limit():
     with pytest.raises(errors.SelfLoop) as raised:
         as_edge((huge, huge))
     assert str(raised.value) == f"vertex {stand_in} is paired with itself"
+    with pytest.raises(errors.InsufficientCrossers) as raised:
+        extract_from_crossed_edge(CHAIN, (1, 6), huge)
+    assert str(raised.value).endswith(f"cannot reach size {stand_in}")
 
 
 # One argument boundary: every edge argument is read by core._host_edges and
@@ -119,6 +122,7 @@ EDGE_TAKERS = {
 }
 # The ones taking a sequence of edges, with the sequence s in its place.
 SEQUENCE_TAKERS = {
+    "make_matching": make_matching,
     "subpattern": lambda s: subpattern(CHAIN, s),
     "classify_sequence": lambda s: classify_sequence(CHAIN, s),
     "properize": lambda s: properize(CHAIN, s),
@@ -130,6 +134,7 @@ SIZE_TAKERS = {
     "bounds": bounds,
     "witness": lambda v: witness(CHAIN, v),
     "canonical": lambda v: canonical(PatternKind.INTERLEAVING, v),
+    "extract_from_crossed_edge k": lambda v: extract_from_crossed_edge(CHAIN, (1, 6), v),
     "build_pin_tree": lambda v: build_pin_tree(CHAIN, v),
     "census": census,
     "check_census": check_census,
@@ -166,6 +171,12 @@ def test_every_edge_sequence_must_be_iterable(name):
     for bad in (5, 2.5) if name == "render_svg" else (None, 5, 2.5):
         with pytest.raises(errors.MatchingError, match="is not a sequence of edges$"):
             SEQUENCE_TAKERS[name](bad)
+
+
+def test_parse_matching_refuses_what_is_not_text():
+    for bad in (None, 5, b"1-2"):
+        with pytest.raises(errors.MatchingError, match="is not a string$"):
+            parse_matching(bad)
 
 
 @pytest.mark.parametrize("name", SIZE_TAKERS)

@@ -25,7 +25,7 @@ from indematch.errors import (
     NotRightReaching,
     UnknownEdge,
 )
-from indematch.pins import _pin_nodes, _walk_pins
+from indematch.pins import _deepest, _pin_nodes, _walk_pins
 
 from helpers import (
     EmptySegment,
@@ -384,7 +384,7 @@ def test_pin_tree_and_grow_match_the_reference_on_every_small_host():
 def test_early_stopped_pin_nodes_decide_depth_k_like_the_full_tree():
     for m in small_indecomposables(6):
         for k in (2, 3, 4, 5):
-            early = any(len(node) == k for node in _pin_nodes(m.partner, k))
+            early = len(_deepest(m.partner, k)) == k
             assert early == (build_pin_tree(m, k).max_length >= k), (m, k)
 
 
@@ -440,9 +440,11 @@ def first_and_deepest(nodes, k):
 
 def assert_search_matches_the_reference(m, k):
     assert levels(_pin_nodes(m.partner, k)) == levels(reference_pin_nodes(m, k)), (m, k)
-    got = first_and_deepest(_pin_nodes(m.partner, k), k)
-    assert got == first_and_deepest(reference_pin_nodes(m, k), k), (m, k)
-    return got
+    want = first_and_deepest(reference_pin_nodes(m, k), k)
+    assert first_and_deepest(_pin_nodes(m.partner, k), k) == want, (m, k)
+    first, deepest = want
+    assert _deepest(m.partner, k) == (deepest if first is None else first), (m, k)
+    return want
 
 
 def test_depth_first_search_matches_the_breadth_first_reference_on_every_small_host():

@@ -23,7 +23,7 @@ from indematch import (
 from indematch import ramsey
 from indematch.errors import InvariantViolation, NotIndecomposable, SizeCapExceeded, SizeTooSmall
 
-from indematch.ramsey import K_CAP, _witness
+from indematch.ramsey import K_CAP
 
 from helpers import indecomposable_matchings, reference_witness, small_indecomposables
 
@@ -184,13 +184,13 @@ def test_verify_theorem_parallel_agrees():
 
 
 def test_trusted_witness_matches_the_references_on_every_small_host():
-    # The trusted path skips the sweep and stops the tree at its first
-    # length-k node; the reference builds the whole tree.
+    # witness stops the tree at its first length-k node; the reference
+    # builds the whole tree.
     hosts = 0
     for m in small_indecomposables(6):
         hosts += 1
         for k in (2, 3, 4):
-            assert _witness(m, bounds(k)) == witness(m, k) == reference_witness(m, k), (m, k)
+            assert witness(m, k) == reference_witness(m, k), (m, k)
     assert hosts == 3111
 
 
@@ -270,7 +270,7 @@ def test_verify_theorem_reports_searched_pins_that_fail_the_pin_check(monkeypatc
     # The shard reports these pins on INT4, with no exception and no tally,
     # in the words Witness.verify uses for them.
     monkeypatch.setattr(ramsey, "_hosts", lambda n, first_partner: iter([INT4.partner]))
-    monkeypatch.setattr(ramsey, "_pin_nodes", lambda m, k: iter([pins]))
+    monkeypatch.setattr(ramsey, "_deepest", lambda partner, k: pins)
     report = verify_theorem(1, 3)
     assert report.checked == 1
     assert report.found == report.below_threshold == 0

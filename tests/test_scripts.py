@@ -229,6 +229,24 @@ def test_only_core_folds_crossing_components():
                 assert not (pushed or unpacked), (path.name, node.lineno)
 
 
+def test_only_pins_walks_the_pin_tree():
+    # pins._deepest is the one capped pin-tree decision, read by witness,
+    # verify_theorem and scan_avoiders, and build_pin_tree the one listing:
+    # no other function calls pins._pin_nodes.
+    package = ROOT / "src" / "indematch"
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if path.name == "pins.py" and fn.name in ("_deepest", "build_pin_tree"):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    callee = node.func
+                    name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+                    assert name != "_pin_nodes", (path.name, fn.name, node.lineno)
+
+
 def test_only_errors_raises_size_errors():
     # errors._at_least is the one reader of a size argument's minimum and
     # cap: no other module raises SizeTooSmall or SizeCapExceeded.
