@@ -33,6 +33,7 @@ from .errors import (
     UnknownEdge,
     VertexOutOfRange,
     _at_least,
+    _is_int,
     _show,
 )
 
@@ -53,7 +54,7 @@ def _int_pair(pair: Iterable[int]) -> tuple[int, int]:
         a, b = pair
     except (TypeError, ValueError):
         a = b = None
-    if not (isinstance(a, int) and isinstance(b, int)) or bool in (type(a), type(b)):
+    if not (_is_int(a) and _is_int(b)):
         raise MatchingError(f"endpoint pair {_show(pair, repr)} is not two integers")
     return a, b
 
@@ -108,7 +109,7 @@ class Matching:
 
     def partner_of(self, vertex: int) -> int:
         """The partner of vertex, an int in [1, 2n]; a bool is out of range."""
-        if isinstance(vertex, bool) or not (isinstance(vertex, int) and 1 <= vertex <= self.top):
+        if not (_is_int(vertex) and 1 <= vertex <= self.top):
             raise VertexOutOfRange(vertex, self.top)
         return self.partner[vertex - 1]
 

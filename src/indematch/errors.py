@@ -85,11 +85,16 @@ class SizeCapExceeded(MatchingError):
         self.cap = cap
 
 
+def _is_int(value: object) -> bool:
+    """The one int test: an int, and not a bool (JSON true decodes to one)."""
+    return isinstance(value, int) and type(value) is not bool
+
+
 def _at_least(value: object, minimum: int, what: str, cap: int | None = None, why: str = "") -> None:
     """The one check of a size argument: a MatchingError unless value is an
     int (a bool is not one), SizeTooSmall when it is below minimum, and
     SizeCapExceeded, its message ending in why, when it is past cap."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise MatchingError(f"{what} {_show(value, repr)} is not an integer")
     if value < minimum:
         raise SizeTooSmall(value, minimum, what)

@@ -305,13 +305,11 @@ def _deepest(partner: tuple[int, ...], cap: int) -> tuple[tuple[int, int], ...]:
 def build_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
     """The tree of proper right-reaching pin sequences of length at most
     depth_cap: every node of _pin_nodes, once the cap and host are checked,
-    bucketed by length into breadth-first order."""
+    stably sorted by length, which is breadth-first order."""
     _at_least(depth_cap, 1, "depth_cap")
     if not is_indecomposable(matching):
         raise NotIndecomposable()
-    levels: list[list[tuple]] = [[] for _ in range(min(depth_cap, matching.n))]
-    for node in _pin_nodes(matching.partner, depth_cap):
-        levels[len(node) - 1].append(node)
-    nodes = tuple(tuple(map(Edge._make, node)) for level in levels for node in level)
+    listed = sorted(_pin_nodes(matching.partner, depth_cap), key=len)
+    nodes = tuple(tuple(map(Edge._make, node)) for node in listed)
     index = {node: i for i, node in enumerate(nodes)}
     return PinTree(matching, nodes, tuple(index.get(node[1:], -1) for node in nodes))

@@ -327,6 +327,22 @@ def test_certificate_booleans_are_not_integers():
         verify_certificate(dict(_single_edge_doc(), k=True))
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(VALID_DOCS[0], side=[1], breaker=7),
+        dict(VALID_DOCS[2], side="left"),
+        dict(VALID_DOCS[3], breaker=[1, 3]),
+    ],
+    ids=["interleaving", "proper_pin_sequence", "below_threshold"],
+)
+def test_only_a_broken_nesting_certificate_carries_breaker_data(doc):
+    # As Witness refuses them; null fields are read as absent.
+    verify_certificate(dict(doc, side=None, breaker=None))
+    with pytest.raises(InvariantViolation, match=f"{doc['kind']} certificate carries"):
+        verify_certificate(doc)
+
+
 def test_cmd_verify_cert_reports_mistyped_fields(capsys, tmp_path):
     cert = tmp_path / "cert.json"
     mistyped = [dict(_valid_doc(), kind=["interleaving"]), dict(_valid_doc(), kind={})]

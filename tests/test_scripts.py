@@ -169,24 +169,69 @@ def test_no_function_calls_itself_by_name():
                 assert name != fn.name, (path.name, fn.name, node.lineno)
 
 
+# One home per rule: each row is a rule, an act, the names it covers, and
+# the modules or module.functions that may do it.  core._host_edges reads
+# edge arguments, pins._deepest decides the pin tree and build_pin_tree
+# lists it, errors._at_least reads sizes, and errors._is_int tests for an
+# int (two fast paths in core inline their own, only to route input).
+ONE_HOME = (
+    ("edge arguments", "call", ("as_edge", "has_edge"), ("core",)),
+    ("edge arguments", "raise", ("UnknownEdge",), ("core",)),
+    ("pin tree", "call", ("_pin_nodes",), ("pins._deepest", "pins.build_pin_tree")),
+    ("size errors", "raise", ("SizeTooSmall", "SizeCapExceeded"), ("errors",)),
+    ("int test", "type test", ("int", "bool"), ("errors._is_int", "core._host_edges", "core.make_matching")),
+)
+
+
+def _name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _acts(node):
+    """node's (act, name) pairs: a call, a raise, or a type test of int or
+    bool (isinstance(..., bool), bool in ..., type(...) is [not] int)."""
+    if isinstance(node, ast.Call):
+        yield "call", _name(node.func)
+        if _name(node.func) == "isinstance" and "bool" in map(_name, ast.walk(node.args[-1])):
+            yield "type test", "bool"
+    elif isinstance(node, ast.Raise) and node.exc is not None:
+        yield "raise", _name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+    elif isinstance(node, ast.Compare):
+        if _name(node.left) == "bool" and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+            yield "type test", "bool"
+        if isinstance(node.left, ast.Call) and _name(node.left.func) == "type":
+            yield from (("type test", _name(right)) for right in node.comparators)
+
+
+def _assert_one_home(rule):
+    homes = {(act, name): places for r, act, names, places in ONE_HOME if r == rule for name in names}
+    for path in sorted((ROOT / "src" / "indematch").glob("*.py")):
+        # place: module.Class.function of the innermost enclosing def.
+        todo = [(path.stem, ast.parse(path.read_text(encoding="utf-8")))]
+        while todo:
+            place, node = todo.pop()
+            for act in _acts(node):
+                owned = any(f"{place}.".startswith(f"{h}.") for h in homes.get(act, (place,)))
+                assert owned, (place, node.lineno, act)
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                place = f"{place}.{node.name}"
+            todo.extend((place, child) for child in ast.iter_child_nodes(node))
+
+
 def test_only_core_reads_edge_arguments():
-    # core._host_edges is the one boundary for edge arguments: no other
-    # module normalizes a pair, tests host membership or raises UnknownEdge.
-    package = ROOT / "src" / "indematch"
-    for path in sorted(package.glob("*.py")):
-        if path.name == "core.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                target, banned = node.func, ("as_edge", "has_edge")
-            elif isinstance(node, ast.Raise) and node.exc is not None:
-                target, banned = node.exc, ("UnknownEdge",)
-                if isinstance(target, ast.Call):
-                    target = target.func
-            else:
-                continue
-            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-            assert name not in banned, (path.name, node.lineno, name)
+    _assert_one_home("edge arguments")
+
+
+def test_only_pins_walks_the_pin_tree():
+    _assert_one_home("pin tree")
+
+
+def test_only_errors_raises_size_errors():
+    _assert_one_home("size errors")
+
+
+def test_only_is_int_and_two_fast_paths_test_for_an_int():
+    _assert_one_home("int test")
 
 
 def _called(node, name):
@@ -227,39 +272,6 @@ def test_only_core_folds_crossing_components():
                 unpacked = len(names) == 3 and isinstance(value, ast.Name)
                 unpacked = unpacked and (value.id in names or value.id in stacks)
                 assert not (pushed or unpacked), (path.name, node.lineno)
-
-
-def test_only_pins_walks_the_pin_tree():
-    # pins._deepest is the one capped pin-tree decision, read by witness,
-    # verify_theorem and scan_avoiders, and build_pin_tree the one listing:
-    # no other function calls pins._pin_nodes.
-    package = ROOT / "src" / "indematch"
-    for path in sorted(package.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if path.name == "pins.py" and fn.name in ("_deepest", "build_pin_tree"):
-                continue
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call):
-                    callee = node.func
-                    name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
-                    assert name != "_pin_nodes", (path.name, fn.name, node.lineno)
-
-
-def test_only_errors_raises_size_errors():
-    # errors._at_least is the one reader of a size argument's minimum and
-    # cap: no other module raises SizeTooSmall or SizeCapExceeded.
-    package = ROOT / "src" / "indematch"
-    for path in sorted(package.glob("*.py")):
-        if path.name == "errors.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not (isinstance(node, ast.Raise) and node.exc is not None):
-                continue
-            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-            assert name not in ("SizeTooSmall", "SizeCapExceeded"), (path.name, node.lineno)
 
 
 def test_every_workload_sets_up_with_a_clean_warm_up(monkeypatch):
