@@ -513,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "witness",
         help="search for a size-k structure",
         description="Search for a size-k structure.  On a host with no heavy edge, the pin-tree "
-        "case takes time exponential in k: 3 s for 80 edges at k = 14, over 90 s for 160 at "
+        "case takes time exponential in k: 1.5 s for 80 edges at k = 14, over 90 s for 160 at "
         "k = 30.",
     )
     _add_matching_argument(p)

@@ -11,9 +11,9 @@ touches the greatest vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .core import Edge, Matching, _crossers, _host_edges, is_indecomposable
+from .core import Edge, Matching, _host_edges, is_indecomposable
 from .errors import (
     DuplicatePin,
     InvariantViolation,
@@ -235,81 +235,94 @@ class PinTree:
         return max((len(node) for node in self.nodes), default=0)
 
 
-def _pin_nodes(partner: tuple[int, ...], depth_cap: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Each node of the pin tree capped at depth_cap, as int pairs, lazily
-    and depth first, on a trusted partner table.
-
-    Children of a node are the sequences extending it by one prepended edge;
-    a suffix of a proper right-reaching sequence is again one, so every such
-    sequence of length <= depth_cap appears.  Distinct edges p1..pm form a
-    proper pin sequence exactly when each p(j+1) crosses p(j) and has no
-    endpoint in the spans of p1..p(j-1): in _walk_pins, an endpoint in prev
-    would put both in cur.  So the node p1..pm, p1 = a-b, has the child x-y
-    exactly when x-y crosses a-b and its closed span holds no endpoint of
-    p2..pm.  Candidates are the crossers of a-b, read when the node is
-    expanded, in (left, right) order.  Each is decided in O(1) on the
-    node's state: q, the one endpoint of p2..pm inside (a, b); lf, their
-    greatest endpoint below a (or 0); rf, their least above b (or 2n + 1).
-    x-y is a child exactly when lf < x, y < rf and q lies outside [x, y];
-    a left child (y < q) has the state (a, lf, q), a right one (b, q, rf).
-    The root, touching 2n, has only left crossers, which q = 2n passes.  An
-    edge already in the node fails the test, having an endpoint at q, at
-    most lf or at least rf, so pins stay distinct.
-
-    Within each length the nodes come in breadth-first order.  Breadth
-    first, each level lists the children of the level above in order, so by
-    induction it is sorted by the nodes' candidate sequences from the root,
-    compared lexicographically; depth-first pre-order visits the nodes in
-    that same order.  The stack holds at most depth_cap - 1 frames: a node,
-    its first pin, its state and the crossers left.
-    """
-    if not partner:
-        return
-    a, top = partner[-1], len(partner)
-    root = ((a, top),)
-    yield root
-    lefts, _ = _crossers(partner, a, top)
-    stack = [(root, a, top, top, 0, top + 1, iter(lefts))] if depth_cap > 1 else []
-    while stack:
-        node, a, b, q, lf, rf, todo = stack[-1]
-        for e in todo:
-            x, y = e
-            if lf < x and y < rf and (y < q or q < x):
-                child = (e,) + node
-                yield child
-                if len(child) < depth_cap:
-                    lefts, rights = _crossers(partner, x, y)
-                    if y < q:
-                        stack.append((child, x, y, a, lf, q, iter(lefts + rights)))
-                    else:
-                        stack.append((child, x, y, b, q, rf, iter(lefts + rights)))
-                    break
-        else:
-            stack.pop()
-
-
-def _deepest(partner: tuple[int, ...], cap: int) -> tuple[tuple[int, int], ...]:
+def _deepest(partner: tuple[int, ...], cap: int, nodes: list | None = None) -> tuple:
     """The pin tree's one capped decision, on a trusted partner table: the
     breadth-first tree's first node of length cap, else its first deepest
-    node, as int pairs.  _pin_nodes lists each length breadth first, so
-    the first node to reach a length is the first of that length."""
-    deepest: tuple[tuple[int, int], ...] = ()
-    for node in _pin_nodes(partner, cap):
-        if len(node) > len(deepest):
-            deepest = node
-            if len(node) == cap:
+    node, as int pairs.  Given a list, the walk appends every node of the
+    capped tree to it instead, and runs to the end.
+
+    A node's children prepend one edge to it; a suffix of a proper
+    right-reaching sequence is again one, so every such sequence of length
+    <= cap is a node.  Distinct edges p1..pm form a proper pin sequence
+    exactly when each p(j+1) crosses p(j) and has no endpoint in the spans
+    of p1..p(j-1) (in _walk_pins, an endpoint in prev would put both in
+    cur).  So the node p1..pm, p1 = a-b, carries the state (q, lf, rf): q
+    the one endpoint of p2..pm inside (a, b), lf their greatest below a
+    (or 0), rf their least above b (or 2n + 1); the root, touching 2n, has
+    (2n, 0, 2n + 1).  Its children are the left x-y with lf < x < a < y < q,
+    of state (a, lf, q), and the right x-y with q < x < b < y < rf, of
+    state (b, q, rf); no pin of the node is one.
+
+    Each node tries its children lazily, left then right, each side by x,
+    and the stack keeps each ancestor's place: the left ones by x over
+    (lf, a), or, when (a, q) is the shorter window, read off it at once and
+    sorted; the right ones by x over (q, b).  Depth-first pre-order lists
+    each length's nodes in breadth-first order (by induction, both sort
+    them by their candidate sequences from the root), so the walk returns
+    at the first node of length cap.
+    """
+    if not partner:
+        return ()
+    a, top = partner[-1], len(partner)
+    node, b, q, lf, rf = ((a, top),), top, top, 0, top + 1
+    deepest, best, stack = (), 0, []
+    while True:
+        if nodes is not None:
+            nodes.append(node)
+        depth = len(node)
+        if depth > best:
+            deepest, best = node, depth
+            if depth == cap and nodes is None:
+                return deepest
+        # i is the last vertex read, and lefts the children read off (a, q),
+        # greatest first, or None; a node of length cap starts at b, past both.
+        lefts, i = None, lf
+        if depth == cap:
+            i = b
+        elif q - a < a - lf:
+            lefts = [(p, v) for v, p in enumerate(partner[a : q - 1], a + 1) if lf < p < a]
+            lefts.sort(reverse=True)
+            i = q
+        while True:
+            if lefts:
+                x, y = lefts.pop()
                 break
-    return deepest
+            while i < a - 1:
+                y = partner[i]
+                i += 1
+                if a < y < q:
+                    break
+            else:
+                if i < q:
+                    i = q
+                while i < b - 1:
+                    y = partner[i]
+                    i += 1
+                    if b < y < rf:
+                        break
+                else:
+                    if not stack:
+                        return deepest
+                    node, a, b, q, lf, rf, i, lefts = stack.pop()
+                    continue
+            x = i
+            break
+        stack.append((node, a, b, q, lf, rf, i, lefts))
+        if y < q:
+            node, a, b, q, rf = ((x, y),) + node, x, y, a, q
+        else:
+            node, a, b, q, lf = ((x, y),) + node, x, y, b, q
 
 
 def build_pin_tree(matching: Matching, depth_cap: int) -> PinTree:
     """The tree of proper right-reaching pin sequences of length at most
-    depth_cap: every node of _pin_nodes, once the cap and host are checked,
+    depth_cap: every node _deepest lists, once the cap and host are checked,
     stably sorted by length, which is breadth-first order."""
     _at_least(depth_cap, 1, "depth_cap")
     if not is_indecomposable(matching):
         raise NotIndecomposable()
-    listed = sorted(_pin_nodes(matching.partner, depth_cap), key=len)
-    nodes = tuple(tuple(map(Edge._make, node)) for node in listed)
+    listed: list = []
+    _deepest(matching.partner, depth_cap, listed)
+    nodes = tuple(tuple(map(Edge._make, node)) for node in sorted(listed, key=len))
     index = {node: i for i, node in enumerate(nodes)}
     return PinTree(matching, nodes, tuple(index.get(node[1:], -1) for node in nodes))

@@ -1,5 +1,8 @@
+import importlib.util
+import random
 import time
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,7 @@ from indematch.errors import (
     NotRightReaching,
     UnknownEdge,
 )
-from indematch.pins import _deepest, _pin_nodes, _walk_pins
+from indematch.pins import _deepest, _walk_pins
 
 from helpers import (
     EmptySegment,
@@ -401,7 +404,7 @@ def pairwise_proper(pins):
 
 
 def test_proper_pin_sequences_are_the_pairwise_condition():
-    # The lemma behind _pin_nodes' O(1) child test, on every sequence of at
+    # The lemma behind _deepest's child windows, on every sequence of at
     # most four distinct edges of every matching with n <= 5.
     checked = proper = 0
     for n in range(1, 6):
@@ -439,9 +442,11 @@ def first_and_deepest(nodes, k):
 
 
 def assert_search_matches_the_reference(m, k):
-    assert levels(_pin_nodes(m.partner, k)) == levels(reference_pin_nodes(m, k)), (m, k)
+    listed = []
+    _deepest(m.partner, k, listed)
+    assert levels(listed) == levels(reference_pin_nodes(m, k)), (m, k)
     want = first_and_deepest(reference_pin_nodes(m, k), k)
-    assert first_and_deepest(_pin_nodes(m.partner, k), k) == want, (m, k)
+    assert first_and_deepest(listed, k) == want, (m, k)
     first, deepest = want
     assert _deepest(m.partner, k) == (deepest if first is None else first), (m, k)
     return want
@@ -479,6 +484,43 @@ def test_witness_scales_linearly_on_a_long_chain():
     elapsed = time.perf_counter() - began
     assert report.found and len(report.witness.edges) == 3
     assert elapsed < 2, f"witness took {elapsed:.2f} s"
+
+
+class CountedReads(tuple):
+    """A partner table that counts the entries read from it: one per index,
+    and a slice's length per slice."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        got = tuple.__getitem__(self, key)
+        self.reads += len(got) if isinstance(key, slice) else 1
+        return got
+
+
+def perfbench_host(seed, n):
+    """perfbench's random_indecomposable(Random(seed), n), as a Matching."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return make_matching(inputs.random_indecomposable(random.Random(seed), n))
+
+
+@pytest.mark.parametrize(
+    ("host", "cap", "most"),
+    [(crossing_chain(20_000), 10, 20), (perfbench_host(1, 80), 6, 100)],
+    ids=["chain-20000", "seed-1-n-80"],
+)
+def test_the_walk_reads_only_inside_first_pin_spans(host, cap, most):
+    # Each node reads its left children off the shorter of (lf, a) and
+    # (a, q), and its right ones off (q, b), lazily, and the walk stops at
+    # the first node of length cap.  A read of (lf, a) at the chain's root
+    # alone would take about 40,000 entries, and a read of each expanded
+    # node's whole span 377 on the n = 80 host.
+    partner = CountedReads(host.partner)
+    assert len(_deepest(partner, cap)) == cap
+    assert partner.reads <= most
 
 
 @settings(max_examples=60, deadline=None)

@@ -171,13 +171,14 @@ def test_no_function_calls_itself_by_name():
 
 # One home per rule: each row is a rule, an act, the names it covers, and
 # the modules or module.functions that may do it.  core._host_edges reads
-# edge arguments, pins._deepest decides the pin tree and build_pin_tree
-# lists it, errors._at_least reads sizes, and errors._is_int tests for an
-# int (two fast paths in core inline their own, only to route input).
+# edge arguments, pins._deepest walks the pin tree (for the search, the
+# avoider scan and build_pin_tree's listing), errors._at_least reads sizes,
+# and errors._is_int tests for an int (two fast paths in core inline their
+# own, only to route input).
 ONE_HOME = (
     ("edge arguments", "call", ("as_edge", "has_edge"), ("core",)),
     ("edge arguments", "raise", ("UnknownEdge",), ("core",)),
-    ("pin tree", "call", ("_pin_nodes",), ("pins._deepest", "pins.build_pin_tree")),
+    ("pin tree", "call", ("_deepest",), ("ramsey._search", "enumeration._avoider", "pins.build_pin_tree")),
     ("size errors", "raise", ("SizeTooSmall", "SizeCapExceeded"), ("errors",)),
     ("int test", "type test", ("int", "bool"), ("errors._is_int", "core._host_edges", "core.make_matching")),
 )
