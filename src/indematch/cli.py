@@ -396,27 +396,24 @@ def _cmd_pins(args: argparse.Namespace) -> int:
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     matching = _read_matching(args.matching)
-    report = witness(matching, args.k)
-    doc = certificate_document(report, matching)
+    doc = certificate_document(witness(matching, args.k), matching)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
-    print(f"outcome: {report.outcome}")
+    edges = _edge_text(map(Edge._make, doc["edges"]))
+    found = "edge_count" not in doc
+    print(f"outcome: {'found' if found else doc['kind']}")
     print(f"kind: {doc['kind']}")
-    if report.witness is not None:
+    if found:
         print(f"size: {doc['size']}")
-        print(f"edges: {_edge_text(report.witness.edges)}")
-        if report.witness.side is not None:
-            print(f"side: {report.witness.side.value}  breaker: {report.witness.breaker}")
+        print(f"edges: {edges}")
+        if "side" in doc:
+            print(f"side: {doc['side']}  breaker: {Edge._make(doc['breaker'])}")
     else:
-        print(
-            f"edge_count: {report.edge_count} "
-            f"(below tree bound {report.bounds.tree_bound})"
-        )
-        if report.partial is not None:
-            print(f"partial: {_edge_text(report.partial.edges)}")
-    fields = _bounds_field(report.bounds).items()
-    print("bounds: " + " ".join(f"{name}={value}" for name, value in fields))
+        print(f"edge_count: {doc['edge_count']} (below tree bound {doc['bounds']['tree_bound']})")
+        if edges:
+            print(f"partial: {edges}")
+    print("bounds: " + " ".join(f"{name}={value}" for name, value in doc["bounds"].items()))
     return 0
 
 

@@ -17,7 +17,7 @@ strictly inside that run crosses an edge of the component.  So the span of
 a component is closed, and a closed run [lo, hi] other than the whole set
 contains the whole component of the edge at lo, or of the edge at 1 when
 hi = 2n.  _components folds the vertices left to right into the open
-components and stops when one closes before the last vertex.
+components, and stops when one closes or, for find_intervals, records its span.
 """
 
 from __future__ import annotations
@@ -232,16 +232,19 @@ def make_matching(pairs: Iterable[Iterable[int]]) -> Matching:
     return Matching(tuple(partner))
 
 
-def _components(partner: Sequence[int], start: int, end: int, stack: tuple) -> tuple | None:
-    """Fold vertices start..end - 1, all below the last vertex, into stack,
-    the open crossing components (lo, hi, below) of the vertices before
-    start, with () at the bottom; None once a component closes.
+def _components(
+    partner: Sequence[int], start: int, end: int, stack: tuple, spans: list | None = None
+) -> tuple | None:
+    """Fold vertices start..end - 1 into stack, the open crossing components
+    (lo, hi, below) of the vertices before start, with () at the bottom;
+    None once a component closes, unless spans is given: then each closed
+    span [lo, v] is dropped and recorded as spans[lo] = v, to the last vertex.
 
     A left endpoint opens the component of its edge.  A right endpoint v,
     partner p, joins its edge's component: every open component with lo > p
     began inside the edge and is still open past v, so it crosses the edge
     and merges into the one below it.  When the merged component's hi is v,
-    no edge of it reaches past v, and its span [lo, v] is an interval.
+    no edge of it reaches past v, and it closes: its span [lo, v] is closed.
     """
     for v, p in enumerate(partner[start - 1 : end - 1], start):
         if p > v:
@@ -252,9 +255,13 @@ def _components(partner: Sequence[int], start: int, end: int, stack: tuple) -> t
             lo, top, below = below
             if top > hi:
                 hi = top
-        if hi == v:
+        if hi != v:
+            stack = (lo, hi, below)
+        elif spans is None:
             return None
-        stack = (lo, hi, below)
+        else:
+            spans[lo] = v
+            stack = below
     return stack
 
 
@@ -267,28 +274,13 @@ def find_intervals(matching: Matching) -> tuple[Segment, ...]:
     a closed run [lo, hi] therefore starts at lo, and so does the component
     of each vertex just past the span before it: the closed runs starting at
     lo are the span [lo, end[lo]] of the component whose least vertex is lo,
-    extended by each next span that starts right after it.  One fold of the
-    components, as in _components but dropping each closed one, records
-    end; the chaining then costs one step per interval.
+    extended by each next span that starts right after it.  _components
+    records every span in end, and the chaining costs one step per interval.
     """
     partner = _partner_table(matching)
     m = len(partner)
     end = [0] * (m + 2)  # end[lo]: the last vertex of the component from lo
-    stack = ()
-    for v, p in enumerate(partner, 1):
-        if p > v:
-            stack = (v, p, stack)
-            continue
-        lo, hi, below = stack
-        while lo > p:
-            lo, top, below = below
-            if top > hi:
-                hi = top
-        if hi == v:
-            end[lo] = v
-            stack = below
-        else:
-            stack = (lo, hi, below)
+    _components(partner, 1, m + 1, (), end)
     out = []
     for lo in range(1, m + 1):
         hi = end[lo]

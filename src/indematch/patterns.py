@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import Edge, Matching, _crossers, _host_edges, _partner_table, make_matching
 from .errors import (
@@ -29,6 +29,7 @@ from .errors import (
     InvariantViolation,
     MatchingError,
     _at_least,
+    _is_int,
     _show,
 )
 from .pins import _walk_pins
@@ -124,14 +125,21 @@ def _longest_run(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def longest_monotone(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def longest_monotone(values: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """A longest increasing and a longest decreasing subsequence, as index
     tuples, in O(m log m) for m values.  Values must be distinct.  One of
     the two has length at least ceil(sqrt(len(values))).  Ties go to the
     earliest predecessor and the earliest endpoint; the decreasing run is
-    the increasing run of the negated values."""
+    the increasing run of the negated values.  The values are read once, and
+    each must be an int (a bool is not one)."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise MatchingError(f"{_show(values, repr)} is not a sequence of integers") from None
     seen = set()
     for v in values:
+        if not _is_int(v):
+            raise MatchingError(f"value {_show(v, repr)} is not an integer")
         if v in seen:
             raise DuplicateValue(v)
         seen.add(v)

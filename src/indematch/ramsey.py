@@ -90,13 +90,12 @@ def witness(matching: Matching, k: int) -> WitnessReport:
         raise NotIndecomposable()
     heavy, deepest = _search(matching.partner, b)
     if heavy is not None:
-        found = extract_from_crossed_edge(matching, Edge._make(heavy), k)
-        return WitnessReport(b, matching.n, found, None)
-    pins = tuple(map(Edge._make, deepest))
-    pinned = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, pins) if pins else None
-    if len(pins) == k:
-        return WitnessReport(b, matching.n, pinned, None)
-    return WitnessReport(b, matching.n, None, pinned)
+        found, partial = extract_from_crossed_edge(matching, Edge._make(heavy), k), None
+    else:
+        pins = tuple(map(Edge._make, deepest))
+        pinned = Witness(WitnessKind.PROPER_PIN_SEQUENCE, matching, pins) if pins else None
+        found, partial = (pinned, None) if len(pins) == k else (None, pinned)
+    return WitnessReport(b, matching.n, found, partial)
 
 
 def _search(partner: tuple[int, ...], b: Bounds) -> tuple[tuple[int, int] | None, tuple]:

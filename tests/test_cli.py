@@ -484,6 +484,32 @@ def test_cmd_witness_text(capsys):
     assert "kind: broken_nesting" in out
     assert "side: right  breaker: 5-11" in out.splitlines()
 
+    # One host per outcome: every printed field is the --json document's.
+    for host, k, kind in [
+        ("1-7 2-8 3-9 4-10 5-11 6-12", "2", "interleaving"),
+        ("5-11 1-10 2-9 3-8 4-7 6-12", "2", "broken_nesting"),
+        ("ABAB", "2", "proper_pin_sequence"),
+        ("ABAB", "3", "below_threshold"),
+    ]:
+        assert main(["witness", host, "-k", k, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert main(["witness", host, "-k", k]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert doc["kind"] == kind and doc["edges"], host
+        edges = " ".join(f"{a}-{b}" for a, b in doc["edges"])
+        if kind == "below_threshold":
+            tree_bound = doc["bounds"]["tree_bound"]
+            expected = ["outcome: below_threshold", f"kind: {kind}"]
+            expected += [f"edge_count: {doc['edge_count']} (below tree bound {tree_bound})"]
+            expected += [f"partial: {edges}"]
+        else:
+            expected = ["outcome: found", f"kind: {kind}", f"size: {doc['size']}", f"edges: {edges}"]
+        if kind == "broken_nesting":
+            expected += ["side: {}  breaker: {}-{}".format(doc["side"], *doc["breaker"])]
+        fields = ("stated", "crossing_threshold", "tree_bound")
+        expected += ["bounds: " + " ".join(f"{f}={doc['bounds'][f]}" for f in fields)]
+        assert lines == expected, host
+
 
 def test_cmd_witness_json_verifies(capsys):
     assert main(["witness", "1-5 2-6 3-7 4-8", "-k", "3", "--json"]) == 0

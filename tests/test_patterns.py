@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from itertools import permutations
 
@@ -114,6 +115,25 @@ def test_longest_monotone_fixtures():
     assert longest_monotone(()) == ((), ())
     with pytest.raises(DuplicateValue):
         longest_monotone((1, 2, 1))
+
+
+def test_longest_monotone_reads_its_values_once_as_ints():
+    # An iterator is read once, so the duplicate check does not use it up.
+    assert longest_monotone(iter([3, 1, 2])) == longest_monotone([3, 1, 2]) == ((1, 2), (0, 1))
+    for values in (None, 5):
+        with pytest.raises(MatchingError, match=r"^\S+ is not a sequence of integers$"):
+            longest_monotone(values)
+    # Every value is an int, and a bool is not one; floats are refused too.
+    for values, bad in [
+        ([[1], [2]], "[1]"),
+        ("abc", "'a'"),
+        ([1, "a"], "'a'"),
+        ([1.5, 0.5], "1.5"),
+        ([True, 2], "True"),
+        ([3, 2.0], "2.0"),
+    ]:
+        with pytest.raises(MatchingError, match=rf"^value {re.escape(bad)} is not an integer$"):
+            longest_monotone(values)
 
 
 @settings(max_examples=200)

@@ -241,16 +241,16 @@ def _called(node, name):
 
 def test_only_core_folds_crossing_components():
     # core._components is the one fold of the open crossing components, a
-    # linked stack of (lo, hi, below) triples (find_intervals runs its own
-    # copy in core): no other module pushes such a triple, walks one down in
-    # a merge loop, or unpacks a stack that it passes to or gets from
-    # _components.
+    # linked stack of (lo, hi, below) triples, for is_indecomposable, the
+    # enumeration stream and find_intervals alike: no other function pushes
+    # such a triple, walks one down in a merge loop, or unpacks a stack that
+    # it passes to or gets from _components.
     package = ROOT / "src" / "indematch"
     for path in sorted(package.glob("*.py")):
-        if path.name == "core.py":
-            continue
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (path.name, fn.name) == ("core.py", "_components"):
                 continue
             nodes = list(ast.walk(fn))
             folds = [node for node in nodes if _called(node, "_components")]
@@ -269,7 +269,8 @@ def test_only_core_folds_crossing_components():
                 names = [e.id for e in getattr(target, "elts", ()) if isinstance(e, ast.Name)]
                 # stack = (v, p, stack) pushes; lo, top, below = below walks down.
                 pushed = isinstance(value, ast.Tuple) and len(value.elts) == 3
-                pushed = pushed and ast.dump(value.elts[-1]) == ast.dump(target)
+                pushed = pushed and isinstance(target, ast.Name)
+                pushed = pushed and getattr(value.elts[-1], "id", None) == target.id
                 unpacked = len(names) == 3 and isinstance(value, ast.Name)
                 unpacked = unpacked and (value.id in names or value.id in stacks)
                 assert not (pushed or unpacked), (path.name, node.lineno)
